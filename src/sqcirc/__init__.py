@@ -70,6 +70,7 @@ from .words import (
     has_period,
     is_primitive,
     least_rotation,
+    longest_repeated_factor,
     primitive_root,
     rotation,
     smallest_period,
@@ -96,6 +97,7 @@ __all__ = [
     "NATURAL", "RationalExponent", "SymbolOrder", "alphabet", "common_root",
     "complexity", "complexity_profile", "conjugacy_class",
     "extremal_rotation", "factors", "fractional_power", "has_period",
-    "is_primitive", "least_rotation", "primitive_root", "rotation",
-    "smallest_period", "three_words_decomposition",
+    "is_primitive", "least_rotation", "longest_repeated_factor",
+    "primitive_root", "rotation", "smallest_period",
+    "three_words_decomposition",
 ]

@@ -24,6 +24,7 @@ from .words import (
     factors,
     is_primitive,
     least_rotation,
+    longest_repeated_factor,
     power_to_length,
     primitive_root,
     smallest_period,
@@ -90,8 +91,8 @@ def small_circuits(w: str, r: int) -> frozenset[SmallCircuit]:
         p = smallest_period(e)
         if p > r:
             continue
-        q = e[:p]
-        canon = least_rotation(q)
+        q = e[:p]  # primitive: a shorter root would be a shorter period of e
+        canon = _class_info(q)[0]
         if canon in seen:
             continue
         ok = all(power_to_length(t, r + 1) in edge_labels
@@ -110,10 +111,16 @@ def circuit_order_ranges(w: str) -> dict[str, tuple[int, int]]:
     interval [|q|, m-1] where m is the worst rotation's longest periodic
     extension. Runs of the match array w[t] == w[t+lag] give those extensions
     for all orders at once.
+
+    Lags stop at LRF(w), the length of the longest repeated factor, because
+    every small circuit C(q, r) has |q| <= r <= LRF(w). Proof sketch: if
+    every vertex of a p-cycle in Gamma_r occurred once in w, each edge u -> v
+    would force pos(v) = pos(u) + 1, so going round the cycle would advance
+    the position by p and return to the start, which is impossible. Hence
+    some length-r factor repeats.
     """
-    n = len(w)
     coverage: dict[str, list[int]] = {}
-    for lag in range(1, n):
+    for lag in range(1, longest_repeated_factor(w) + 1):
         for s, run_len in match_runs(w, lag):
             info = _class_info(w[s:s + lag])
             if info is None:
@@ -216,18 +223,22 @@ def _int_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def independence_rank(w: str, r: int) -> int:
-    """Exact rank of the circuits' edge-indicator vectors in Gamma_r(w)."""
-    circs = small_circuits(w, r)
-    if not circs:
+def _edge_rank(circuits) -> int:
+    # exact rank of the circuits' edge-indicator vectors
+    supports = [realize(c).edges for c in circuits]
+    if not supports:
         return 0
-    supports = [realize(c).edges for c in circs]
     cols = {lab: i for i, lab in enumerate(sorted(set().union(*supports)))}
     rows = [[0] * len(cols) for _ in supports]
     for row, sup in zip(rows, supports):
         for lab in sup:
             row[cols[lab]] = 1
     return _int_rank(rows)
+
+
+def independence_rank(w: str, r: int) -> int:
+    """Exact rank of the circuits' edge-indicator vectors in Gamma_r(w)."""
+    return _edge_rank(small_circuits(w, r))
 
 
 def elementary_cycles_oracle(g: RauzyGraph, max_size: int,

@@ -10,7 +10,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .words import conjugacy_class, is_primitive, least_rotation, primitive_root
+from .words import (
+    conjugacy_class,
+    is_primitive,
+    least_rotation,
+    longest_repeated_factor,
+    primitive_root,
+)
 
 _MISMATCH = re.compile(rb"[^\x00]+")
 
@@ -96,12 +102,17 @@ def _squares_scan(w: str) -> set[str]:
 
 
 def _squares_runs(w: str) -> set[str]:
-    # same output through period runs; per run only the first few phases can
-    # produce distinct squares (rotations repeat once the base root cycles)
+    """The output of _squares_scan, read off period runs.
+
+    Per run only the first few phases can produce distinct squares
+    (rotations repeat once the base root cycles). Half lengths stop at
+    LRF(w): a square uu starting at s has u at positions s and s+|u|, so u
+    is a repeated factor and |u| <= LRF(w).
+    """
     found: set[str] = set()
     n = len(w)
     wb = _encode(w)
-    for half in range(1, n // 2 + 1):
+    for half in range(1, min(n // 2, longest_repeated_factor(w)) + 1):
         for s, run_len in match_runs(w, half, wb):
             starts = run_len - half + 1
             if starts <= 0:

@@ -11,7 +11,7 @@ import multiprocessing
 from dataclasses import dataclass
 
 from .circuits import (
-    _int_rank,
+    _edge_rank,
     all_small_circuits,
     circuit_counts_by_order,
     circuit_order_ranges,
@@ -150,14 +150,7 @@ def verify_word(w: str) -> list[str]:
         medges = [maximal_edge(c) for c in per_r]
         if len(set(medges)) != len(medges):
             bad.append(f"{w}: order {r} maximal edges collide")
-        supports = [realize(c).edges for c in per_r]
-        cols = {lab: i for i, lab in
-                enumerate(sorted(set().union(*supports)))} if supports else {}
-        rows = [[0] * len(cols) for _ in supports]
-        for row, sup in zip(rows, supports):
-            for lab in sup:
-                row[cols[lab]] = 1
-        if _int_rank(rows) != len(per_r):
+        if _edge_rank(per_r) != len(per_r):
             bad.append(f"{w}: order {r} circuits are linearly dependent")
     return bad
 

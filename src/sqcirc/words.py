@@ -240,6 +240,20 @@ def _lcp_array(w: str, sa: list[int]) -> list[int]:
     return lcp
 
 
+def longest_repeated_factor(w: str) -> int:
+    """LRF(w): the length of the longest factor that occurs at least twice.
+
+    The two occurrences may overlap. A factor repeats exactly when two
+    suffixes share it as a prefix, and the longest shared prefix is found
+    between neighbours in suffix order, so LRF is the largest lcp entry.
+    LRF("") = 0, and LRF(w) = 0 means no letter of w repeats.
+
+    >>> longest_repeated_factor("aababa")
+    3
+    """
+    return max(_lcp_array(w, _suffix_array(w)), default=0)
+
+
 def complexity_profile(w: str) -> tuple[int, ...]:
     """C_w(n) for n = 0..|w|+1 in one pass (last entry is always 0).
 

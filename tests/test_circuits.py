@@ -17,7 +17,15 @@ from sqcirc.circuits import (
     vector_cycle,
 )
 from sqcirc.rauzy import build_rauzy, cyclomatic_number
-from sqcirc.words import SymbolOrder, complexity_profile
+from sqcirc.squares import match_runs
+from sqcirc.verifier import canonical_words
+from sqcirc.words import (
+    SymbolOrder,
+    complexity_profile,
+    is_primitive,
+    least_rotation,
+    longest_repeated_factor,
+)
 
 B_BEFORE_A = SymbolOrder.from_string("ba")
 # carries three nested circuits over aab, aaab, aaaab at order five
@@ -101,6 +109,58 @@ class TestAllSmallCircuits:
 
     def test_counts_by_order(self):
         assert circuit_counts_by_order("aababa") == {1: 1, 2: 1, 3: 1}
+
+
+def ranges_all_lags(w):
+    """circuit_order_ranges without the LRF cut: every lag 1..|w|-1."""
+    coverage = {}
+    for lag in range(1, len(w)):
+        for s, run_len in match_runs(w, lag):
+            base = w[s:s + lag]
+            if not is_primitive(base):
+                continue
+            canon = least_rotation(base)
+            off = (canon + canon).find(base)
+            arr = coverage.setdefault(canon, [0] * lag)
+            for phi in range(min(lag, run_len)):
+                g = (off + phi) % lag
+                arr[g] = max(arr[g], run_len + lag - phi)
+    return {canon: (len(canon), min(arr) - 1)
+            for canon, arr in coverage.items() if min(arr) - 1 >= len(canon)}
+
+
+def brute_lrf(w):
+    """Largest k such that some length-k window of w occurs twice."""
+    return max((k for k in range(1, len(w))
+                if len({w[i:i + k] for i in range(len(w) - k + 1)}) < len(w) - k + 1),
+               default=0)
+
+
+def lag_cut_words():
+    # every canonical binary word to length 12 and ternary word to length 8,
+    # then seeded random words over 1-4 letters up to length 80
+    for size, top in ((2, 12), (3, 8)):
+        for n in range(1, top + 1):
+            yield from canonical_words(size, n)
+    rng = random.Random(50)
+    for _ in range(300):
+        yield random_word(rng, "abcd"[:rng.randint(1, 4)], 1, 80)
+
+
+class TestLagCut:
+    def test_cut_ranges_equal_uncut_oracle(self):
+        for w in lag_cut_words():
+            assert circuit_order_ranges(w) == ranges_all_lags(w), w
+
+    def test_no_repeated_factor_no_circuits(self):
+        for w in ("a", "abc"):
+            assert longest_repeated_factor(w) == 0
+            assert circuit_order_ranges(w) == {} == ranges_all_lags(w)
+
+    def test_longest_repeated_factor_brute(self):
+        assert longest_repeated_factor("") == 0 == brute_lrf("")
+        for w in lag_cut_words():
+            assert longest_repeated_factor(w) == brute_lrf(w), w
 
 
 class TestRealize:

@@ -12,6 +12,7 @@ from sqcirc.squares import (
     rebuild_from_coordinates,
     square_classes,
     square_coordinates,
+    _encode,
     _squares_runs,
     _squares_scan,
 )
@@ -103,10 +104,37 @@ class TestRunBasedScan:
 
     def test_scan_and_runs_agree(self):
         rng = random.Random(23)
-        for letters in ("ab", "abc"):
-            for _ in range(150):
-                w = "".join(rng.choice(letters) for _ in range(rng.randint(1, 120)))
-                assert _squares_scan(w) == _squares_runs(w)
+        words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 120)))
+                 for letters in ("ab", "abc") for _ in range(150)]
+        # past 256 letters: repetitive words, whose longest repeated factor is
+        # long, random ones, whose longest repeated factor is short, and a
+        # square whose half is exactly the longest repeated factor
+        fib = ["a", "ab"]
+        while len(fib[-1]) < 300:
+            fib.append(fib[-1] + fib[-2])
+        u = "".join(rng.choice("abc") for _ in range(150))
+        words += [fib[-1][:300], "a" * 300, ("abaab" * 70)[:333],
+                  "".join("ab"[bin(i).count("1") % 2] for i in range(300)),
+                  "".join(rng.choice("abc") for _ in range(400)), u + u]
+        for w in words:
+            assert _squares_scan(w) == _squares_runs(w)
+
+    def test_pure_python_path_past_256_symbols(self):
+        # over 256 distinct symbols, match_runs falls back to plain comparison
+        rng = random.Random(26)
+        syms = [chr(0x100 + i) for i in range(300)]
+        pieces = list(syms)
+        for _ in range(12):
+            u = "".join(rng.choice(syms[:8]) for _ in range(rng.randint(1, 6)))
+            pieces.insert(rng.randrange(len(pieces) + 1), u * rng.randint(2, 3))
+        w = "".join(pieces)
+        assert _encode(w) is None
+        for lag in range(1, len(w)):
+            covered = [t for s, length in match_runs(w, lag)
+                       for t in range(s, s + length)]
+            assert covered == [t for t in range(len(w) - lag)
+                               if w[t] == w[t + lag]]
+        assert {s.word for s in distinct_squares(w)} == _squares_scan(w)
 
     def test_long_words_use_run_path(self):
         rng = random.Random(24)
