@@ -42,9 +42,9 @@ from .squares import (
 )
 from .verifier import (
     CorpusError,
-    InvariantViolation,
     SearchSummary,
     TheoremReport,
+    WordAnalysis,
     analyze,
     canonical_count,
     canonical_words,
@@ -90,7 +90,7 @@ __all__ = [
     "ClassCoordinates", "Square", "SquareClass", "class_representative",
     "distinct_squares", "rebuild_from_coordinates", "square_classes",
     "square_coordinates",
-    "CorpusError", "InvariantViolation", "SearchSummary", "TheoremReport",
+    "CorpusError", "SearchSummary", "TheoremReport", "WordAnalysis",
     "analyze", "canonical_count", "canonical_words", "corpus_analyze",
     "dot_digraph", "exhaustive_search", "json_document", "theorem_check",
     "verify_word",

@@ -15,7 +15,7 @@ from functools import lru_cache
 import networkx as nx
 
 from .rauzy import RauzyGraph, VectorCycle
-from .squares import match_runs
+from .squares import _encode, match_runs
 from .words import (
     NATURAL,
     SymbolOrder,
@@ -120,8 +120,9 @@ def circuit_order_ranges(w: str) -> dict[str, tuple[int, int]]:
     some length-r factor repeats.
     """
     coverage: dict[str, list[int]] = {}
+    wb = _encode(w)
     for lag in range(1, longest_repeated_factor(w) + 1):
-        for s, run_len in match_runs(w, lag):
+        for s, run_len in match_runs(w, lag, wb):
             info = _class_info(w[s:s + lag])
             if info is None:
                 continue
@@ -147,14 +148,24 @@ def circuit_order_ranges(w: str) -> dict[str, tuple[int, int]]:
 def all_small_circuits(w: str) -> frozenset[SmallCircuit]:
     """Union of small_circuits(w, r) over r = 1..|w|."""
     return frozenset(SmallCircuit(root, r)
-                     for root, (lo, hi) in circuit_order_ranges(w).items()
+                     for root, r in circuit_pairs(circuit_order_ranges(w)))
+
+
+def circuit_pairs(ranges: dict[str, tuple[int, int]]) -> frozenset[tuple[str, int]]:
+    """The circuits named by circuit_order_ranges, as (root, order) pairs."""
+    return frozenset((root, r) for root, (lo, hi) in ranges.items()
                      for r in range(lo, hi + 1))
 
 
 def circuit_counts_by_order(w: str) -> dict[int, int]:
     """sc_r for every order r with at least one small circuit."""
+    return order_counts(circuit_order_ranges(w))
+
+
+def order_counts(ranges: dict[str, tuple[int, int]]) -> dict[int, int]:
+    """sc_r per order, read off circuit_order_ranges."""
     counts: dict[int, int] = {}
-    for lo, hi in circuit_order_ranges(w).values():
+    for lo, hi in ranges.values():
         for r in range(lo, hi + 1):
             counts[r] = counts.get(r, 0) + 1
     return counts

@@ -6,21 +6,20 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 invariant violation
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from .circuits import all_small_circuits, cao_less, maximal_edge, realize, small_circuits
+from .circuits import all_small_circuits, maximal_edge, realize, small_circuits
 from .injection import build_injection
 from .rauzy import build_rauzy
 from .squares import distinct_squares, square_classes
 from .verifier import (
     CorpusError,
-    InvariantViolation,
+    WordAnalysis,
     analyze,
+    class_table,
     corpus_analyze,
-    dot_digraph,
     exhaustive_search,
-    theorem_check,
-    verify_word,
 )
 from .words import NATURAL, SymbolOrder
 
@@ -100,20 +99,16 @@ def _cmd_squares(args, order) -> int:
 
 
 def _cmd_classes(args, order) -> int:
-    print("root | index | size | members")
-    for c in square_classes(args.word):
-        members = ", ".join(sorted(m.word for m in c.members))
-        print(f"{c.root} | {c.index} | {len(c.members)} | {members}")
+    print("\n".join(class_table(square_classes(args.word))))
     return OK
 
 
 def _cmd_rauzy(args, order) -> int:
     w = args.word
-    orders = range(1, len(w) + 1) if args.n == "all" else [int(args.n)]
     if args.dot:
-        sys.stdout.write("".join(dot_digraph(build_rauzy(w, n)) for n in orders))
+        sys.stdout.write(analyze(w, "dot", order, args.n))
         return OK
-    for n in orders:
+    for n in range(1, len(w) + 1) if args.n == "all" else [int(args.n)]:
         g = build_rauzy(w, n)
         print(f"Gamma_{n}: {len(g.vertices)} vertices, {len(g.edges)} edges")
         for v in sorted(g.vertices):
@@ -125,26 +120,20 @@ def _cmd_rauzy(args, order) -> int:
 
 def _cmd_circuits(args, order) -> int:
     w = args.word
-    order.check_covers(w)
     circs = (small_circuits(w, args.n) if args.n is not None
              else all_small_circuits(w))
-    by_order: dict[int, list] = {}
-    for c in circs:
-        by_order.setdefault(c.order, []).append(c)
-    for r in sorted(by_order):
-        row = sorted(by_order[r], key=lambda c: order.sort_key(maximal_edge(c, order)))
-        for c in row:
-            real = realize(c)
-            print(f"{c} vertices={{{', '.join(sorted(real.vertices))}}} "
-                  f"edges={{{', '.join(sorted(real.edges))}}} "
-                  f"max_edge={maximal_edge(c, order)}")
+    for c in sorted(circs, key=lambda c: (c.order,
+                                          order.sort_key(maximal_edge(c, order)))):
+        real = realize(c)
+        print(f"{c} vertices={{{', '.join(sorted(real.vertices))}}} "
+              f"edges={{{', '.join(sorted(real.edges))}}} "
+              f"max_edge={maximal_edge(c, order)}")
     return OK
 
 
 def _cmd_inject(args, order) -> int:
     report = build_injection(args.word)
-    for sq, circ in sorted(report.assignments,
-                           key=lambda p: (len(p[0].word), p[0].word)):
+    for sq, circ in report.assignments:
         print(f"{sq.word} -> {circ}")
     print(f"injective: {report.injective}, images exist: {report.all_images_exist}, "
           f"{report.square_count} squares, {report.circuit_count} circuits")
@@ -152,15 +141,12 @@ def _cmd_inject(args, order) -> int:
 
 
 def _cmd_check(args, order) -> int:
-    w = args.word
+    analysis = WordAnalysis.of(args.word)
+    report, bad = analysis.report, analysis.violations
     if args.json:
-        sys.stdout.write(analyze(w, "json", order))
-        report = theorem_check(w)
-        bad = verify_word(w)
+        sys.stdout.write(json.dumps(analysis.document(order), indent=2) + "\n")
     else:
-        sys.stdout.write(analyze(w, "report", order))
-        report = theorem_check(w)
-        bad = verify_word(w)
+        sys.stdout.write(analysis.text(order))
         for msg in bad:
             print(f"violation: {msg}")
     return OK if report.holds and report.chain_holds and not bad else VIOLATION
@@ -241,9 +227,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"sqcirc: i/o error: {exc}", file=sys.stderr)
         return IO
-    except InvariantViolation as exc:
-        print(f"sqcirc: invariant violation: {exc}", file=sys.stderr)
-        return VIOLATION
 
 
 def run() -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import SmallCircuit, all_small_circuits
+from .circuits import SmallCircuit, circuit_order_ranges, circuit_pairs
 from .squares import Square, SquareClass, square_classes, square_coordinates
 
 
@@ -43,20 +43,26 @@ def inject_class(w: str, cls: SquareClass) -> list[tuple[Square, SmallCircuit]]:
 
 
 def build_injection(w: str) -> InjectionReport:
-    """The full map over every class, with its health flags.
+    """The full map over every class, with its health flags."""
+    return audit_injection(w, square_classes(w), circuit_pairs(circuit_order_ranges(w)))
 
-    A missing image or a collision would falsify the bound, so both are
-    reported rather than raised.
+
+def audit_injection(w: str, classes: list[SquareClass],
+                    existing: frozenset[tuple[str, int]]) -> InjectionReport:
+    """Map every class and audit the images against the existing circuits.
+
+    existing holds the small circuits of w as (root, order) pairs.
+    Assignments come in square order: shortest square first, then
+    lexicographic. A missing image or a collision would falsify the bound,
+    so both are reported rather than raised.
     """
-    existing = all_small_circuits(w)
-    assignments: list[tuple[Square, SmallCircuit]] = []
-    for cls in square_classes(w):
-        assignments.extend(inject_class(w, cls))
+    assignments = sorted((pair for cls in classes for pair in inject_class(w, cls)),
+                         key=lambda p: (len(p[0].word), p[0].word))
     images = [c for _, c in assignments]
     return InjectionReport(
         assignments=tuple(assignments),
         injective=len(set(images)) == len(images),
-        all_images_exist=all(c in existing for c in images),
+        all_images_exist=all((c.root, c.order) in existing for c in images),
         square_count=len(assignments),
         circuit_count=len(existing),
     )

@@ -153,7 +153,12 @@ def class_representative(w: str, any_root: str) -> str:
 
 
 def square_classes(w: str) -> list[SquareClass]:
-    """Partition of distinct_squares(w) by conjugacy of the half's root.
+    """Partition of distinct_squares(w) by conjugacy of the half's root."""
+    return group_classes(w, distinct_squares(w))
+
+
+def group_classes(w: str, squares) -> list[SquareClass]:
+    """Partition the distinct squares of w by conjugacy of the half's root.
 
     Classes are sorted by (root length, root) under the default order. The
     index is the largest n such that u^{2n} is a factor for some u conjugate
@@ -161,7 +166,7 @@ def square_classes(w: str) -> list[SquareClass]:
     """
     groups: dict[str, set[Square]] = {}
     indexes: dict[str, int] = {}
-    for sq in distinct_squares(w):
+    for sq in squares:
         root, exp = primitive_root(sq.half)
         canon = least_rotation(root)
         groups.setdefault(canon, set()).add(sq)

@@ -9,31 +9,32 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import groupby
 
 from .circuits import (
+    SmallCircuit,
     _edge_rank,
-    all_small_circuits,
-    circuit_counts_by_order,
     circuit_order_ranges,
+    circuit_pairs,
     maximal_edge,
+    order_counts,
     realize,
     small_circuits,
 )
-from .injection import build_injection, inject_class
+from .injection import InjectionReport, audit_injection
 from .rauzy import RauzyGraph, build_rauzy
 from .squares import (
+    Square,
+    SquareClass,
     distinct_squares,
+    group_classes,
     rebuild_from_coordinates,
-    square_classes,
     square_coordinates,
 )
 from .words import NATURAL, SymbolOrder, complexity_profile
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-class InvariantViolation(Exception):
-    """A proved statement failed on concrete data, which means a bug."""
 
 
 class CorpusError(Exception):
@@ -73,6 +74,157 @@ class SearchSummary:
     extremal_witnesses: tuple[tuple[int, tuple[str, ...]], ...]
 
 
+@dataclass(frozen=True)
+class WordAnalysis:
+    """Everything the bound's chain knows about one word, computed once.
+
+    Squares, circuit order ranges and the complexity profile are computed
+    up front; they are all the theorem report needs. Classes, the
+    injection, the circuit objects and the invariant battery are computed
+    on first use, so every report renders from the same analysis.
+    """
+
+    word: str
+    squares: frozenset[Square]
+    ranges: dict[str, tuple[int, int]]
+    profile: tuple[int, ...]
+
+    @classmethod
+    @lru_cache(maxsize=1)  # the sweep reads the analysis verify_word just built
+    def of(cls, w: str) -> "WordAnalysis":
+        if not w:
+            raise ValueError("the bound is about nonempty words")
+        return cls(w, distinct_squares(w), circuit_order_ranges(w), complexity_profile(w))
+
+    @cached_property
+    def existing(self) -> frozenset[tuple[str, int]]:
+        """The small circuits as (root, order) pairs."""
+        return circuit_pairs(self.ranges)
+
+    @cached_property
+    def counts(self) -> dict[int, int]:
+        return order_counts(self.ranges)
+
+    @cached_property
+    def classes(self) -> list[SquareClass]:
+        return group_classes(self.word, self.squares)
+
+    @cached_property
+    def circuits(self) -> list[SmallCircuit]:
+        """The small circuits sorted by (order, root), for rendering."""
+        return sorted((SmallCircuit(root, r) for root, r in self.existing),
+                      key=lambda c: (c.order, c.root))
+
+    @cached_property
+    def injection(self) -> InjectionReport:
+        return audit_injection(self.word, self.classes, self.existing)
+
+    @cached_property
+    def report(self) -> TheoremReport:
+        w, counts, prof = self.word, self.counts, self.profile
+        nonempty, alph = len(self.squares), len(set(w))
+        bound = len(w) - alph + 1
+        return TheoremReport(
+            word=w, square_count_with_empty=nonempty + 1, nonempty_squares=nonempty,
+            alphabet_size=alph, bound=bound, holds=nonempty + 1 <= bound,
+            small_circuit_total=sum(counts.values()),
+            per_order_counts=tuple((r, counts.get(r, 0), prof[r + 1] - prof[r] + 1)
+                                   for r in range(1, len(w) + 1)))
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """The messages of every invariant that fails; see verify_word."""
+        w, rep, inj = self.word, self.report, self.injection
+        bad: list[str] = []
+        nonempty, sc_total = rep.nonempty_squares, rep.small_circuit_total
+        if nonempty > sc_total:
+            bad.append(f"{w}: {nonempty} squares but only {sc_total} circuits")
+        if sc_total > len(w) - rep.alphabet_size:
+            bad.append(f"{w}: circuit total {sc_total} above |w|-|Alph(w)|")
+        bad.extend(f"{w}: order {r} has {sc_r} circuits, cap {cap}"
+                   for r, sc_r, cap in rep.per_order_counts if sc_r > cap)
+        bad.extend(f"{w}: image {circ} of {sq.word} does not exist"
+                   for sq, circ in inj.assignments
+                   if (circ.root, circ.order) not in self.existing)
+        for cls in self.classes:
+            for sq in cls.members:
+                co = square_coordinates(sq, cls)
+                if rebuild_from_coordinates(cls.root, co) != sq.word:
+                    bad.append(f"{w}: coordinates ({co.i},{co.j}) "
+                               f"do not rebuild {sq.word}")
+        if not inj.injective:
+            bad.append(f"{w}: injection images collide")
+        for r, expected in self.counts.items():
+            per_r = small_circuits(w, r)
+            if len(per_r) != expected:
+                bad.append(f"{w}: order {r} enumerators disagree "
+                           f"({len(per_r)} direct vs {expected} batched)")
+            medges = [maximal_edge(c) for c in per_r]
+            if len(set(medges)) != len(medges):
+                bad.append(f"{w}: order {r} maximal edges collide")
+            if _edge_rank(per_r) != len(per_r):
+                bad.append(f"{w}: order {r} circuits are linearly dependent")
+        return tuple(bad)
+
+    def document(self, order: SymbolOrder) -> dict:
+        """The JSON document; see json_document."""
+        w, report = self.word, self.report
+        return {
+            "word": w, "length": len(w),
+            "alphabet": sorted(set(w), key=order.sort_key),
+            "squares": [{"half": s.half, "word": s.word} for s in sorted(self.squares)],
+            "classes": [{"root": c.root, "index": c.index,
+                         "members": sorted(m.word for m in c.members)}
+                        for c in self.classes],
+            "circuits": [{"root": c.root, "order": c.order,
+                          "vertices": sorted(real.vertices),
+                          "edges": sorted(real.edges),
+                          "maximal_edge": maximal_edge(c, order)}
+                         for c in self.circuits for real in [realize(c)]],
+            "injection": [{"square": sq.word,
+                           "circuit": {"root": circ.root, "order": circ.order}}
+                          for sq, circ in self.injection.assignments],
+            "theorem": {
+                "S": report.square_count_with_empty, "bound": report.bound,
+                "holds": report.holds, "sc_total": report.small_circuit_total,
+                "per_order": [{"r": r, "sc_r": sc_r, "cap": cap}
+                              for r, sc_r, cap in report.per_order_counts],
+            },
+        }
+
+    def text(self, order: SymbolOrder) -> str:
+        """The plain-text report printed by `sqcirc check`."""
+        w, report, injection = self.word, self.report, self.injection
+        out = [f"word: {w}  (length {len(w)}, alphabet size {report.alphabet_size})"]
+        out.append(f"nonempty squares ({report.nonempty_squares}): "
+                   + ", ".join(s.word for s in sorted(self.squares)))
+        out.append("classes:")
+        out.extend("  " + row for row in class_table(self.classes))
+        out.append(f"small circuits ({len(self.circuits)}):")
+        for r, row in groupby(self.circuits, key=lambda c: c.order):
+            out.append(f"  r={r}: " + ", ".join(f"{c} max_edge={maximal_edge(c, order)}"
+                                                for c in row))
+        out.append("injection:")
+        out.extend(f"  {sq.word} -> {circ}" for sq, circ in injection.assignments)
+        out.append(f"  injective: {injection.injective}, "
+                   f"images exist: {injection.all_images_exist}")
+        verdict = "holds" if report.holds else "VIOLATED"
+        out.append(f"theorem: S(w) = {report.square_count_with_empty} <= "
+                   f"{report.bound} = |w| - |Alph(w)| + 1  ... {verdict}")
+        out.append(f"chain: S-1 = {report.nonempty_squares} <= sc = "
+                   f"{report.small_circuit_total} <= {len(w) - report.alphabet_size}"
+                   f" = |w| - |Alph(w)|  ... "
+                   + ("holds" if report.chain_holds else "VIOLATED"))
+        return "\n".join(out) + "\n"
+
+
+def class_table(classes: list[SquareClass]) -> list[str]:
+    """The rows of the square-class table, header first."""
+    return ["root | index | size | members"] + [
+        f"{c.root} | {c.index} | {len(c.members)} | "
+        + ", ".join(sorted(m.word for m in c.members)) for c in classes]
+
+
 def theorem_check(w: str) -> TheoremReport:
     """Count squares and small circuits of w and evaluate the bound.
 
@@ -80,25 +232,7 @@ def theorem_check(w: str) -> TheoremReport:
     >>> (r.nonempty_squares, r.small_circuit_total, r.bound, r.holds)
     (3, 3, 5, True)
     """
-    if not w:
-        raise ValueError("the bound is about nonempty words")
-    nonempty = len(distinct_squares(w))
-    counts = circuit_counts_by_order(w)
-    prof = complexity_profile(w)
-    per_order = tuple((r, counts.get(r, 0), prof[r + 1] - prof[r] + 1)
-                      for r in range(1, len(w) + 1))
-    alph = len(set(w))
-    bound = len(w) - alph + 1
-    return TheoremReport(
-        word=w,
-        square_count_with_empty=nonempty + 1,
-        nonempty_squares=nonempty,
-        alphabet_size=alph,
-        bound=bound,
-        holds=nonempty + 1 <= bound,
-        small_circuit_total=sum(counts.values()),
-        per_order_counts=per_order,
-    )
+    return WordAnalysis.of(w).report
 
 
 def verify_word(w: str) -> list[str]:
@@ -109,50 +243,7 @@ def verify_word(w: str) -> list[str]:
     square, agreement of the two circuit enumerators, distinct maximal edges
     per graph, and exact linear independence of each graph's circuits.
     """
-    bad: list[str] = []
-    n = len(w)
-    classes = square_classes(w)
-    nonempty = sum(len(c.members) for c in classes)
-    ranges = circuit_order_ranges(w)
-    counts: dict[int, int] = {}
-    for lo, hi in ranges.values():
-        for r in range(lo, hi + 1):
-            counts[r] = counts.get(r, 0) + 1
-    sc_total = sum(counts.values())
-    if nonempty > sc_total:
-        bad.append(f"{w}: {nonempty} squares but only {sc_total} circuits")
-    if sc_total > n - len(set(w)):
-        bad.append(f"{w}: circuit total {sc_total} above |w|-|Alph(w)|")
-    prof = complexity_profile(w)
-    for r in range(1, n + 1):
-        cap = prof[r + 1] - prof[r] + 1
-        if counts.get(r, 0) > cap:
-            bad.append(f"{w}: order {r} has {counts[r]} circuits, cap {cap}")
-    existing = {(root, r) for root, (lo, hi) in ranges.items()
-                for r in range(lo, hi + 1)}
-    images = []
-    for cls in classes:
-        for sq, circ in inject_class(w, cls):
-            images.append(circ)
-            if (circ.root, circ.order) not in existing:
-                bad.append(f"{w}: image {circ} of {sq.word} does not exist")
-        for sq in cls.members:
-            co = square_coordinates(sq, cls)
-            if rebuild_from_coordinates(cls.root, co) != sq.word:
-                bad.append(f"{w}: coordinates ({co.i},{co.j}) do not rebuild {sq.word}")
-    if len(set(images)) != len(images):
-        bad.append(f"{w}: injection images collide")
-    for r, expected in counts.items():
-        per_r = small_circuits(w, r)
-        if len(per_r) != expected:
-            bad.append(f"{w}: order {r} enumerators disagree "
-                       f"({len(per_r)} direct vs {expected} batched)")
-        medges = [maximal_edge(c) for c in per_r]
-        if len(set(medges)) != len(medges):
-            bad.append(f"{w}: order {r} maximal edges collide")
-        if _edge_rank(per_r) != len(per_r):
-            bad.append(f"{w}: order {r} circuits are linearly dependent")
-    return bad
+    return list(WordAnalysis.of(w).violations) if w else []
 
 
 def canonical_words(alphabet_size: int, length: int, prefix: str = ""):
@@ -203,6 +294,15 @@ def canonical_count(alphabet_size: int, length: int) -> int:
     return sum(states)
 
 
+def _offer(best: dict, witnesses: dict, n: int, value: int, words) -> None:
+    # keep per length the largest value and up to 16 words that reach it
+    if value > best.get(n, -1):
+        best[n] = value
+        witnesses[n] = list(words)[:16]
+    elif value == best[n]:
+        witnesses[n] = (witnesses[n] + list(words))[:16]
+
+
 def _sweep_lengths(alphabet_size: int, lengths, prefix: str = ""):
     # shared by the serial and parallel paths
     checked = 0
@@ -213,12 +313,7 @@ def _sweep_lengths(alphabet_size: int, lengths, prefix: str = ""):
         for w in canonical_words(alphabet_size, n, prefix):
             checked += 1
             violations.extend(verify_word(w))
-            sq = len(distinct_squares(w))
-            if sq > best.get(n, -1):
-                best[n] = sq
-                witnesses[n] = [w]
-            elif sq == best[n] and len(witnesses[n]) < 16:
-                witnesses[n].append(w)
+            _offer(best, witnesses, n, len(WordAnalysis.of(w).squares), [w])
     return checked, violations, best, witnesses
 
 
@@ -256,11 +351,7 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
         checked += part_checked
         violations.extend(part_violations)
         for n, v in part_best.items():
-            if v > best.get(n, -1):
-                best[n] = v
-                witnesses[n] = list(part_wit[n])
-            elif v == best[n]:
-                witnesses[n] = (witnesses[n] + part_wit[n])[:16]
+            _offer(best, witnesses, n, v, part_wit[n])
     return SearchSummary(
         alphabet_size=alphabet_size,
         max_len=max_len,
@@ -275,37 +366,7 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
 def json_document(w: str, order: SymbolOrder = NATURAL) -> dict:
     """The machine-readable analysis of one word, with stable field names."""
     order.check_covers(w)
-    report = theorem_check(w)
-    classes = square_classes(w)
-    circuits = sorted(all_small_circuits(w), key=lambda c: (c.order, c.root))
-    injection = build_injection(w)
-    return {
-        "word": w,
-        "length": len(w),
-        "alphabet": sorted(set(w), key=order.sort_key),
-        "squares": [{"half": s.half, "word": s.word}
-                    for s in sorted(distinct_squares(w))],
-        "classes": [{"root": c.root, "index": c.index,
-                     "members": sorted(m.word for m in c.members)}
-                    for c in classes],
-        "circuits": [{"root": c.root, "order": c.order,
-                      "vertices": sorted(realize(c).vertices),
-                      "edges": sorted(realize(c).edges),
-                      "maximal_edge": maximal_edge(c, order)}
-                     for c in circuits],
-        "injection": [{"square": sq.word,
-                       "circuit": {"root": circ.root, "order": circ.order}}
-                      for sq, circ in sorted(injection.assignments,
-                                             key=lambda p: (len(p[0].word), p[0].word))],
-        "theorem": {
-            "S": report.square_count_with_empty,
-            "bound": report.bound,
-            "holds": report.holds,
-            "sc_total": report.small_circuit_total,
-            "per_order": [{"r": r, "sc_r": sc_r, "cap": cap}
-                          for r, sc_r, cap in report.per_order_counts],
-        },
-    }
+    return WordAnalysis.of(w).document(order)
 
 
 def _dot_quote(s: str) -> str:
@@ -324,49 +385,12 @@ def dot_digraph(g: RauzyGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_text(w: str, order: SymbolOrder) -> str:
-    report = theorem_check(w)
-    classes = square_classes(w)
-    injection = build_injection(w)
-    circuits = sorted(all_small_circuits(w), key=lambda c: (c.order, c.root))
-    out = [f"word: {w}  (length {len(w)}, alphabet size {report.alphabet_size})"]
-    out.append(f"nonempty squares ({report.nonempty_squares}): "
-               + ", ".join(s.word for s in sorted(distinct_squares(w))))
-    out.append("classes:")
-    out.append("  root | index | size | members")
-    for c in classes:
-        members = ", ".join(sorted(m.word for m in c.members))
-        out.append(f"  {c.root} | {c.index} | {len(c.members)} | {members}")
-    out.append(f"small circuits ({len(circuits)}):")
-    by_order: dict[int, list] = {}
-    for c in circuits:
-        by_order.setdefault(c.order, []).append(c)
-    for r in sorted(by_order):
-        row = ", ".join(f"{c} max_edge={maximal_edge(c, order)}"
-                        for c in by_order[r])
-        out.append(f"  r={r}: {row}")
-    out.append("injection:")
-    for sq, circ in sorted(injection.assignments,
-                           key=lambda p: (len(p[0].word), p[0].word)):
-        out.append(f"  {sq.word} -> {circ}")
-    out.append(f"  injective: {injection.injective}, "
-               f"images exist: {injection.all_images_exist}")
-    verdict = "holds" if report.holds else "VIOLATED"
-    out.append(f"theorem: S(w) = {report.square_count_with_empty} <= "
-               f"{report.bound} = |w| - |Alph(w)| + 1  ... {verdict}")
-    out.append(f"chain: S-1 = {report.nonempty_squares} <= sc = "
-               f"{report.small_circuit_total} <= {len(w) - report.alphabet_size}"
-               f" = |w| - |Alph(w)|  ... "
-               + ("holds" if report.chain_holds else "VIOLATED"))
-    return "\n".join(out) + "\n"
-
-
 def analyze(w: str, emit: str = "report", order: SymbolOrder = NATURAL,
             r=None) -> str:
     """Render one word as a text report, DOT digraphs, or a JSON document."""
     order.check_covers(w)
     if emit == "report":
-        return _report_text(w, order)
+        return WordAnalysis.of(w).text(order)
     if emit == "json":
         return json.dumps(json_document(w, order), indent=2) + "\n"
     if emit == "dot":

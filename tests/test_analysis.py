@@ -1,0 +1,136 @@
+"""WordAnalysis: each word is analyzed once, and every field matches the
+standalone function that computes the same quantity."""
+import random
+import sys
+from collections import Counter
+
+import pytest
+
+import sqcirc.squares as squares
+import sqcirc.verifier as verifier
+from sqcirc.circuits import (
+    SmallCircuit,
+    all_small_circuits,
+    circuit_counts_by_order,
+    circuit_order_ranges,
+)
+from sqcirc.cli import main
+from sqcirc.injection import build_injection
+from sqcirc.squares import distinct_squares, square_classes
+from sqcirc.verifier import (
+    WordAnalysis,
+    canonical_count,
+    canonical_words,
+    exhaustive_search,
+    theorem_check,
+    verify_word,
+)
+from sqcirc.words import complexity_profile
+
+EXAMPLE_22 = "baababaababbbabbabbbab"
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls to the three up-front engines under every name that the
+    package binds them to, so a second call from any module shows."""
+    WordAnalysis.of.cache_clear()
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "sqcirc" or name.startswith("sqcirc.")]
+    for original in (distinct_squares, circuit_order_ranges, complexity_profile):
+        def counted(w, _name=original.__name__, _original=original):
+            counts[_name] += 1
+            return _original(w)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def forbid(monkeypatch, target, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    monkeypatch.setattr(target, name, fail)
+
+
+class TestOncePerWord:
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    @pytest.mark.parametrize("w", ["aababa", EXAMPLE_22, "a" * 30, "ñaña"])
+    def test_check_computes_each_engine_once(self, calls, capsys, w, flags):
+        assert main(["check", w, *flags]) == 0
+        capsys.readouterr()
+        assert calls == {"distinct_squares": 1, "circuit_order_ranges": 1,
+                         "complexity_profile": 1}
+
+    def test_sweep_computes_squares_once_per_word(self, calls):
+        summary = exhaustive_search(2, 8)
+        words = sum(canonical_count(2, n) for n in range(1, 9))
+        assert summary.words_checked == words
+        assert calls["distinct_squares"] == words
+        assert calls["circuit_order_ranges"] == words
+
+    def test_sweep_verifies_through_verify_word(self, monkeypatch):
+        checked = Counter()
+
+        def counted(w, _original=verify_word):
+            checked[w] += 1
+            return _original(w)
+        monkeypatch.setattr(verifier, "verify_word", counted)
+        summary = exhaustive_search(2, 8)
+        assert len(checked) == summary.words_checked == sum(checked.values())
+
+    def test_theorem_check_builds_no_classes_injection_or_circuits(self, monkeypatch):
+        forbid(monkeypatch, squares, "square_classes")
+        forbid(monkeypatch, verifier, "group_classes")
+        forbid(monkeypatch, verifier, "audit_injection")
+        forbid(monkeypatch, SmallCircuit, "__post_init__")
+        for w in ("aababa", EXAMPLE_22, "abcabcabcabca", "a" * 20):
+            assert theorem_check(w).holds
+
+    def test_lazy_fields_are_computed_once(self, monkeypatch):
+        analysis = WordAnalysis.of(EXAMPLE_22)
+        first = analysis.injection
+        forbid(monkeypatch, verifier, "audit_injection")
+        assert analysis.injection is first
+        assert analysis.violations == ()
+
+
+class TestFieldsMatchStandaloneFunctions:
+    @staticmethod
+    def check(w: str) -> None:
+        a = WordAnalysis.of(w)
+        circuits = all_small_circuits(w)
+        assert a.squares == distinct_squares(w)
+        assert a.classes == square_classes(w)
+        assert a.counts == circuit_counts_by_order(w)
+        assert a.existing == {(c.root, c.order) for c in circuits}
+        assert a.circuits == sorted(circuits, key=lambda c: (c.order, c.root))
+        assert a.injection == build_injection(w)
+        assert a.report == theorem_check(w)
+        assert list(a.violations) == verify_word(w) == []
+
+    def test_canonical_binary_words_to_length_10(self):
+        for n in range(1, 11):
+            for w in canonical_words(2, n):
+                self.check(w)
+
+    def test_random_words(self):
+        rng = random.Random(20220421)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            self.check("".join(rng.choice("abcd"[:k]) for _ in range(rng.randint(1, 40))))
+
+
+class TestContract:
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="the bound is about nonempty words"):
+            WordAnalysis.of("")
+
+    def test_empty_word_has_no_violations(self):
+        assert verify_word("") == []
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            WordAnalysis.of("aababa").word = "ab"
