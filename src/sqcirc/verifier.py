@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby
 
 from .circuits import (
@@ -74,6 +75,24 @@ class SearchSummary:
     extremal_witnesses: tuple[tuple[int, tuple[str, ...]], ...]
 
 
+class _lazy:
+    """functools.cached_property without its lock, which Python 3.11 takes on
+    every first access: the value, once stored in the instance dict, shadows
+    this non-data descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class WordAnalysis:
     """Everything the bound's chain knows about one word, computed once.
@@ -96,30 +115,30 @@ class WordAnalysis:
             raise ValueError("the bound is about nonempty words")
         return cls(w, distinct_squares(w), circuit_order_ranges(w), complexity_profile(w))
 
-    @cached_property
+    @_lazy
     def existing(self) -> frozenset[tuple[str, int]]:
         """The small circuits as (root, order) pairs."""
         return circuit_pairs(self.ranges)
 
-    @cached_property
+    @_lazy
     def counts(self) -> dict[int, int]:
         return order_counts(self.ranges)
 
-    @cached_property
+    @_lazy
     def classes(self) -> list[SquareClass]:
         return group_classes(self.word, self.squares)
 
-    @cached_property
+    @_lazy
     def circuits(self) -> list[SmallCircuit]:
         """The small circuits sorted by (order, root), for rendering."""
         return sorted((SmallCircuit(root, r) for root, r in self.existing),
                       key=lambda c: (c.order, c.root))
 
-    @cached_property
+    @_lazy
     def injection(self) -> InjectionReport:
         return audit_injection(self.word, self.classes, self.existing)
 
-    @cached_property
+    @_lazy
     def report(self) -> TheoremReport:
         w, counts, prof = self.word, self.counts, self.profile
         nonempty, alph = len(self.squares), len(set(w))
@@ -131,7 +150,7 @@ class WordAnalysis:
             per_order_counts=tuple((r, counts.get(r, 0), prof[r + 1] - prof[r] + 1)
                                    for r in range(1, len(w) + 1)))
 
-    @cached_property
+    @_lazy
     def violations(self) -> tuple[str, ...]:
         """The messages of every invariant that fails; see verify_word."""
         w, rep, inj = self.word, self.report, self.injection
@@ -327,7 +346,8 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
     """Verify every canonical word up to max_len; aggregate the results.
 
     The word space is partitioned by canonical prefixes into independent
-    units, so the sweep parallelizes without shared state.
+    units, so the sweep parallelizes without shared state. The pool gets
+    min(jobs, CPU count, units) processes; jobs <= 1 runs in this process.
     """
     if alphabet_size < 1 or max_len < 1:
         raise ValueError("alphabet size and maximum length must be positive")
@@ -341,6 +361,7 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
         units = [(alphabet_size, max_len, "", range(1, depth))]
         units += [(alphabet_size, max_len, p, range(depth, max_len + 1))
                   for p in canonical_words(alphabet_size, depth)]
+        jobs = min(jobs, os.cpu_count() or 1, len(units))
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_search_unit, units)
     checked = 0

@@ -116,54 +116,88 @@ def extremal_rotation(w: str, order: SymbolOrder = NATURAL,
 
 
 def least_rotation(w: str) -> str:
-    """Canonical conjugacy-class representative: least rotation, natural order."""
-    return min(conjugacy_class(w))
+    """Canonical conjugacy-class representative: least rotation, natural order.
 
+    Lemma: the least rotation starts with the least letter c = min(w).
+    Proof sketch: a rotation starting with a letter above c is beaten by
+    any rotation starting with c, and every word has one. So only the
+    rotations at the occurrences of c, found with ``str.find``, compete.
 
-def border_length(w: str) -> int:
-    """Length of the longest proper border (prefix that is also a suffix)."""
-    # failure function, last entry only
-    b = 0
-    fail = [0] * (len(w) + 1)
-    for i in range(1, len(w)):
-        c = w[i]
-        while b and w[b] != c:
-            b = fail[b]
-        if w[b] == c:
-            b += 1
-        fail[i + 1] = b
-    return fail[len(w)]
+    >>> least_rotation("cabab")
+    'ababc'
+    """
+    if not w:
+        raise ValueError("empty word has no conjugacy class")
+    n, ww, c = len(w), w + w, min(w)
+    best, i = w, w.find(c)
+    while i >= 0:
+        cand = ww[i:i + n]
+        if cand < best:
+            best = cand
+        i = w.find(c, i + 1)
+    return best
 
 
 def smallest_period(w: str) -> int:
-    if not w:
+    """The least p >= 1 with w_i == w_{i+p} for every valid i.
+
+    Candidates p are scanned upwards, jumping with ``str.find``. Lemma: with
+    m = ceil((n - p) / 2), every period p' in [p, n - m] puts the prefix
+    w[:m] at position p', since w[p':p'+m] == w[:m]. So the first
+    occurrence q >= p of w[:m] bounds every such period from below: if q is
+    a period it is the least one, and if not the scan resumes at q + 1. If
+    w[:m] does not occur at or after p, no period lies in [p, n - m], and
+    the scan jumps to n - m + 1, which halves the remaining n - p.
+
+    >>> smallest_period("abaababaab")
+    5
+    """
+    n = len(w)
+    if not n:
         raise ValueError("empty word has no period")
-    return len(w) - border_length(w)
+    p = 1
+    while p < n:
+        m = (n - p + 1) // 2
+        q = w.find(w[:m], p)
+        if q < 0:
+            p = n - m + 1
+        elif w[q:] == w[:n - q]:
+            return q
+        else:
+            p = q + 1
+    return n
 
 
 def is_primitive(w: str) -> bool:
-    """True iff w is not an integer power of a strictly shorter word."""
+    """True iff w is not an integer power of a strictly shorter word.
+
+    Lemma: w is primitive iff it occurs in ww only at 0 and |w|. Proof
+    sketch: w == u^k with k >= 2 puts w at |u| in ww. Conversely, w at
+    0 < i < |w| in ww means w == xy == yx with |x| = i, so x and y are
+    powers of one word z, and w is a power of z with |z| <= i < |w|.
+
+    >>> is_primitive("abab"), is_primitive("aba")
+    (False, True)
+    """
     if not w:
         raise ValueError("empty word")
-    p = smallest_period(w)
-    return p == len(w) or len(w) % p != 0
+    return (w + w).find(w, 1) == len(w)
 
 
 def primitive_root(w: str) -> tuple[str, int]:
     """The unique (root, exponent) with w == root**exponent and root primitive.
 
-    The smallest period p = |w| - border is the root length iff it divides
-    |w|; otherwise w itself is primitive.
+    The root length is the first position after 0 at which w occurs in
+    ww: by the lemma of is_primitive, w occurs there at multiples of the
+    root length and nowhere else before |w|.
 
     >>> primitive_root("abab")
     ('ab', 2)
     """
     if not w:
         raise ValueError("empty word")
-    p = smallest_period(w)
-    if len(w) % p == 0:
-        return w[:p], len(w) // p
-    return w, 1
+    k = (w + w).find(w, 1)
+    return w[:k], len(w) // k
 
 
 def has_period(w: str, p: int) -> bool:
@@ -191,8 +225,20 @@ def fractional_power(u: str, alpha) -> str:
 
 
 def power_to_length(u: str, total_len: int) -> str:
-    """u extended periodically to exactly total_len characters."""
-    return fractional_power(u, RationalExponent.from_length(len(u), total_len))
+    """u extended periodically to exactly total_len characters.
+
+    This is fractional_power(u, RationalExponent.from_length(|u|, total_len)):
+    total_len // |u| + 1 copies of u are at least total_len long, and their
+    prefix of that length is the power.
+
+    >>> power_to_length("abc", 7)
+    'abcabca'
+    """
+    if not u:
+        raise ValueError("empty base word")
+    if total_len < 0:
+        raise ValueError("negative power length")
+    return (u * (total_len // len(u) + 1))[:total_len]
 
 
 def factors(w: str, n: int) -> set[str]:

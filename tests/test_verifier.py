@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sqcirc import verifier
 from sqcirc.verifier import (
     CorpusError,
     analyze,
@@ -121,6 +122,41 @@ class TestExhaustiveSearch:
             parallel.max_nonempty_squares_per_length
         assert serial.extremal_witnesses == parallel.extremal_witnesses
         assert serial.violations == parallel.violations == ()
+
+    @pytest.mark.parametrize("jobs,cpus,size", [(10_000, 4, 4), (3, 8, 3), (2, 1, 1),
+                                                (10_000, None, 1), (500, 64, 33)])
+    def test_jobs_clamped_before_pool(self, monkeypatch, jobs, cpus, size):
+        # a fake Pool records its size and runs the units in this process, so
+        # a silly --jobs value starts no process at all
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, units):
+                return list(map(fn, units))
+
+        monkeypatch.setattr(verifier.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+        # binary length 7 splits into 1 + 32 units (prefixes of length 6)
+        summary = exhaustive_search(2, 7, jobs=jobs)
+        assert sizes == [size]
+        assert summary == exhaustive_search(2, 7)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_stay_serial(self, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial sweep must not start a pool")
+
+        monkeypatch.setattr(verifier.multiprocessing, "Pool", no_pool)
+        assert exhaustive_search(2, 6, jobs=jobs) == exhaustive_search(2, 6)
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """Unit tests for the elementary word operations."""
+import itertools
 import math
 import random
 
@@ -112,6 +113,76 @@ class TestPrimitiveRoot:
             p = smallest_period(w)
             assert has_period(w, p)
             assert all(not has_period(w, q) for q in range(1, p))
+
+
+def _fibonacci(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _thue_morse(n):
+    return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
+
+
+def _oracle_words():
+    # every short binary and ternary word, the factors of four repetitive
+    # words, and words past ASCII and past 256 code points
+    words = {"".join(t) for letters, top in (("ab", 12), ("abc", 8))
+             for n in range(1, top + 1) for t in itertools.product(letters, repeat=n)}
+    for long in (_fibonacci(384), _thue_morse(384), "a" * 300 + "b", "ab" * 150 + "a"):
+        words |= {long[i:i + n] for n in range(1, 301, 5)
+                  for i in range(len(long) - n + 1)}
+    wide = "".join(chr(0x100 + i) for i in range(300))
+    rng = random.Random(16)
+    words |= {"ñaña", "ñ" * 7, wide, wide + wide, wide + wide[:77],
+              "".join(rng.choice(wide[:3]) for _ in range(280))}
+    return sorted(words)
+
+
+ORACLE_WORDS = _oracle_words()
+
+
+class TestPrimitivesAgainstDefinitions:
+    """The str.find-driven primitives agree with their brute definitions."""
+
+    def test_smallest_period(self):
+        for w in ORACLE_WORDS:
+            assert smallest_period(w) == next(
+                p for p in range(1, len(w) + 1) if has_period(w, p)), w
+
+    def test_is_primitive(self):
+        for w in ORACLE_WORDS:
+            n = len(w)
+            assert is_primitive(w) == (not any(
+                n % d == 0 and w[:d] * (n // d) == w for d in range(1, n))), w
+
+    def test_primitive_root(self):
+        for w in ORACLE_WORDS:
+            p = smallest_period(w)
+            assert primitive_root(w) == ((w[:p], len(w) // p) if len(w) % p == 0
+                                         else (w, 1)), w
+
+    def test_least_rotation(self):
+        for w in ORACLE_WORDS:
+            assert least_rotation(w) == min(conjugacy_class(w)), w
+
+    def test_power_to_length(self):
+        for u in ORACLE_WORDS:
+            k = len(u)
+            for n in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+                assert power_to_length(u, n) == fractional_power(
+                    u, RationalExponent.from_length(k, n)), (u, n)
+
+    def test_errors(self):
+        for f in (smallest_period, is_primitive, primitive_root, least_rotation):
+            with pytest.raises(ValueError):
+                f("")
+        with pytest.raises(ValueError, match="empty base word"):
+            power_to_length("", 3)
+        with pytest.raises(ValueError, match="negative power length"):
+            power_to_length("ab", -1)
 
 
 class TestHasPeriod:
