@@ -15,7 +15,7 @@ from functools import lru_cache
 import networkx as nx
 
 from .rauzy import RauzyGraph, VectorCycle
-from .squares import _encode, match_runs
+from .squares import period_runs
 from .words import (
     NATURAL,
     SymbolOrder,
@@ -24,7 +24,6 @@ from .words import (
     factors,
     is_primitive,
     least_rotation,
-    longest_repeated_factor,
     power_to_length,
     primitive_root,
     smallest_period,
@@ -103,14 +102,15 @@ def small_circuits(w: str, r: int) -> frozenset[SmallCircuit]:
     return frozenset(out)
 
 
-def circuit_order_ranges(w: str) -> dict[str, tuple[int, int]]:
+def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
     """For each circuit class root, the contiguous range of orders it lives in.
 
     C(q, r) exists iff r >= |q| and every rotation of q stretches to a
     periodic factor of length r+1, so per class the admissible r form the
     interval [|q|, m-1] where m is the worst rotation's longest periodic
     extension. Runs of the match array w[t] == w[t+lag] give those extensions
-    for all orders at once.
+    for all orders at once. runs is period_runs(w) when the caller already
+    has it; the result is the same either way.
 
     Lags stop at LRF(w), the length of the longest repeated factor, because
     every small circuit C(q, r) has |q| <= r <= LRF(w). Proof sketch: if
@@ -120,9 +120,10 @@ def circuit_order_ranges(w: str) -> dict[str, tuple[int, int]]:
     some length-r factor repeats.
     """
     coverage: dict[str, list[int]] = {}
-    wb = _encode(w)
-    for lag in range(1, longest_repeated_factor(w) + 1):
-        for s, run_len in match_runs(w, lag, wb):
+    if runs is None:
+        runs = period_runs(w)
+    for lag, lag_runs in enumerate(runs, 1):
+        for s, run_len in lag_runs:
             info = _class_info(w[s:s + lag])
             if info is None:
                 continue

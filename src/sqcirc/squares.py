@@ -64,20 +64,11 @@ def match_runs(w: str, lag: int, _wb: bytes | None = None) -> list[tuple[int, in
     if lag >= n:
         return []
     wb = _encode(w) if _wb is None else _wb
-    if wb is None:
-        runs = []
-        t = 0
-        while t < n - lag:
-            if w[t] != w[t + lag]:
-                t += 1
-                continue
-            s = t
-            while t < n - lag and w[t] == w[t + lag]:
-                t += 1
-            runs.append((s, t - s))
-        return runs
-    x = int.from_bytes(wb[:n - lag], "big") ^ int.from_bytes(wb[lag:], "big")
-    z = x.to_bytes(n - lag, "big")
+    if wb is None:  # over 256 symbols: compare symbol by symbol
+        z = bytes(a != b for a, b in zip(w, w[lag:]))
+    else:
+        x = int.from_bytes(wb[:n - lag], "big") ^ int.from_bytes(wb[lag:], "big")
+        z = x.to_bytes(n - lag, "big")
     runs = []
     prev = 0
     for m in _MISMATCH.finditer(z):
@@ -90,48 +81,52 @@ def match_runs(w: str, lag: int, _wb: bytes | None = None) -> list[tuple[int, in
 
 
 def _squares_scan(w: str) -> set[str]:
-    # the contract algorithm: try every start and half length
-    found: set[str] = set()
+    # test oracle for distinct_squares: try every start and half length
     n = len(w)
-    for half in range(1, n // 2 + 1):
-        for start in range(n - 2 * half + 1):
-            mid = start + half
-            if w[start:mid] == w[mid:mid + half]:
-                found.add(w[start:mid + half])
-    return found
+    return {w[i:i + 2 * h] for h in range(1, n // 2 + 1) for i in range(n - 2 * h + 1)
+            if w[i:i + h] == w[i + h:i + 2 * h]}
 
 
-def _squares_runs(w: str) -> set[str]:
-    """The output of _squares_scan, read off period runs.
+def period_runs(w: str) -> list[list[tuple[int, int]]]:
+    """[match_runs(w, lag) for lag in 1..LRF(w)], from one encoding of w.
 
-    Per run only the first few phases can produce distinct squares
-    (rotations repeat once the base root cycles). Half lengths stop at
-    LRF(w): a square uu starting at s has u at positions s and s+|u|, so u
-    is a repeated factor and |u| <= LRF(w).
+    Squares and small circuits are both read off these runs; neither needs a
+    lag above LRF(w) (see distinct_squares and circuit_order_ranges).
     """
-    found: set[str] = set()
-    n = len(w)
     wb = _encode(w)
-    for half in range(1, min(n // 2, longest_repeated_factor(w)) + 1):
-        for s, run_len in match_runs(w, half, wb):
-            starts = run_len - half + 1
-            if starts <= 0:
-                continue
-            base_root = len(primitive_root(w[s:s + half])[0])
-            for phi in range(min(base_root, starts)):
-                p = s + phi
-                found.add(w[p:p + 2 * half])
-    return found
+    return [match_runs(w, lag, wb) for lag in range(1, longest_repeated_factor(w) + 1)]
 
 
-def distinct_squares(w: str) -> frozenset[Square]:
+def distinct_squares(w: str, runs=None) -> frozenset[Square]:
     """All nonempty factors of w of the form uu, as words (not occurrences).
+
+    runs is period_runs(w) if the caller has it; the result is the same. A
+    square of half length h starts at p iff p..p+h-1 lie in one run (s, L)
+    at lag h, so the run gives the squares at s..s+L-h.
+
+    Lemma: only the first min(rho, L-h+1) of them can be distinct, rho the
+    length of the primitive root x of w[s:s+h]. Proof sketch: the span
+    w[s:s+L+h] has period h and starts with x^(h/rho), so it is a factor of
+    x^infinity and has period rho; the squares at p and p+rho are equal.
+
+    Lemma: only lags h <= min(|w|/2, LRF(w)) give squares. Proof sketch: uu
+    needs 2|u| <= |w|, and u occurs at two positions, so |u| <= LRF(w).
 
     >>> sorted(sq.word for sq in distinct_squares("aababa"))
     ['aa', 'abab', 'baba']
     """
-    words = _squares_scan(w) if len(w) <= 256 else _squares_runs(w)
-    return frozenset(Square(s[:len(s) // 2], s) for s in words)
+    if runs is None:
+        runs = period_runs(w)
+    found: set[str] = set()
+    for half, lag_runs in enumerate(runs[:len(w) // 2], 1):
+        for s, run_len in lag_runs:
+            starts = run_len - half + 1
+            if starts <= 0:
+                continue
+            rho = len(primitive_root(w[s:s + half])[0])
+            for p in range(s, s + min(rho, starts)):
+                found.add(w[p:p + 2 * half])
+    return frozenset(Square(sq[:len(sq) // 2], sq) for sq in found)
 
 
 def _qualifying_rotations(w: str, root: str, index: int) -> list[str]:

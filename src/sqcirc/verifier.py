@@ -30,6 +30,7 @@ from .squares import (
     SquareClass,
     distinct_squares,
     group_classes,
+    period_runs,
     rebuild_from_coordinates,
     square_coordinates,
 )
@@ -97,10 +98,10 @@ class _lazy:
 class WordAnalysis:
     """Everything the bound's chain knows about one word, computed once.
 
-    Squares, circuit order ranges and the complexity profile are computed
-    up front; they are all the theorem report needs. Classes, the
-    injection, the circuit objects and the invariant battery are computed
-    on first use, so every report renders from the same analysis.
+    Squares and circuit order ranges (both read off one period_runs scan)
+    and the complexity profile are computed up front; they are all the
+    theorem report needs. Classes, the injection, the circuit objects and
+    the invariant battery are computed on first use.
     """
 
     word: str
@@ -113,7 +114,9 @@ class WordAnalysis:
     def of(cls, w: str) -> "WordAnalysis":
         if not w:
             raise ValueError("the bound is about nonempty words")
-        return cls(w, distinct_squares(w), circuit_order_ranges(w), complexity_profile(w))
+        runs = period_runs(w)
+        return cls(w, distinct_squares(w, runs), circuit_order_ranges(w, runs),
+                   complexity_profile(w))
 
     @_lazy
     def existing(self) -> frozenset[tuple[str, int]]:
@@ -433,15 +436,14 @@ def corpus_analyze(path: str, mode: str = "per-line",
     if mode not in ("per-line", "whole"):
         raise ValueError(f"unknown corpus mode {mode!r}")
     with open(path, "rb") as fh:
-        data = fh.read()
-    if mode == "whole":
-        units = [data[:-1] if data.endswith(b"\n") else data]
-    else:
-        units = [line.rstrip(b"\r") for line in data.split(b"\n")]
-    for i, unit in enumerate(units, 1):
-        if not unit:
-            continue
-        if len(unit) > max_unit_len:
-            raise CorpusError(f"unit {i} has {len(unit)} bytes, "
-                              f"cap is {max_unit_len}")
-        yield theorem_check(unit.decode("latin-1"))
+        if mode == "whole":
+            units = [fh.read().removesuffix(b"\n")]
+        else:  # streamed: one line in memory at a time
+            units = (line.rstrip(b"\r\n") for line in fh)
+        for i, unit in enumerate(units, 1):
+            if not unit:
+                continue
+            if len(unit) > max_unit_len:
+                raise CorpusError(f"unit {i} has {len(unit)} bytes, "
+                                  f"cap is {max_unit_len}")
+            yield theorem_check(unit.decode("latin-1"))

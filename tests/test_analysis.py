@@ -16,7 +16,7 @@ from sqcirc.circuits import (
 )
 from sqcirc.cli import main
 from sqcirc.injection import build_injection
-from sqcirc.squares import distinct_squares, square_classes
+from sqcirc.squares import distinct_squares, period_runs, square_classes
 from sqcirc.verifier import (
     WordAnalysis,
     canonical_count,
@@ -25,28 +25,35 @@ from sqcirc.verifier import (
     theorem_check,
     verify_word,
 )
-from sqcirc.words import complexity_profile
+from sqcirc.words import complexity_profile, longest_repeated_factor
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count calls to the three up-front engines under every name that the
-    package binds them to, so a second call from any module shows."""
-    WordAnalysis.of.cache_clear()
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Count calls to the functions under every name that the package binds
+    them to, so a second call from any module shows."""
     counts = Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "sqcirc" or name.startswith("sqcirc.")]
-    for original in (distinct_squares, circuit_order_ranges, complexity_profile):
-        def counted(w, _name=original.__name__, _original=original):
+    for original in functions:
+        def counted(w, *rest, _name=original.__name__, _original=original):
             counts[_name] += 1
-            return _original(w)
+            return _original(w, *rest)
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls to the four up-front engines: the period runs, and the
+    squares and circuit ranges read off them, and the complexity profile."""
+    WordAnalysis.of.cache_clear()
+    return count_calls(monkeypatch, period_runs, distinct_squares,
+                       circuit_order_ranges, complexity_profile)
 
 
 def forbid(monkeypatch, target, name):
@@ -61,13 +68,26 @@ class TestOncePerWord:
     def test_check_computes_each_engine_once(self, calls, capsys, w, flags):
         assert main(["check", w, *flags]) == 0
         capsys.readouterr()
-        assert calls == {"distinct_squares": 1, "circuit_order_ranges": 1,
-                         "complexity_profile": 1}
+        assert calls == {"period_runs": 1, "distinct_squares": 1,
+                         "circuit_order_ranges": 1, "complexity_profile": 1}
+
+    def test_check_scans_each_lag_once(self, monkeypatch, capsys):
+        # one match_runs call per lag 1..LRF, shared by squares and circuits
+        WordAnalysis.of.cache_clear()
+        fib = ["a", "ab"]
+        while len(fib[-1]) < 300:
+            fib.append(fib[-1] + fib[-2])
+        w = fib[-1][:300]
+        counts = count_calls(monkeypatch, squares.match_runs)
+        assert main(["check", w]) == 0
+        capsys.readouterr()
+        assert counts["match_runs"] == longest_repeated_factor(w)
 
     def test_sweep_computes_squares_once_per_word(self, calls):
         summary = exhaustive_search(2, 8)
         words = sum(canonical_count(2, n) for n in range(1, 9))
         assert summary.words_checked == words
+        assert calls["period_runs"] == words
         assert calls["distinct_squares"] == words
         assert calls["circuit_order_ranges"] == words
 

@@ -9,14 +9,16 @@ from sqcirc.squares import (
     class_representative,
     distinct_squares,
     match_runs,
+    period_runs,
     rebuild_from_coordinates,
     square_classes,
     square_coordinates,
     _encode,
-    _squares_runs,
     _squares_scan,
 )
-from sqcirc.words import conjugacy_class, factors, rotation
+from sqcirc.circuits import circuit_order_ranges
+from sqcirc.verifier import canonical_words
+from sqcirc.words import conjugacy_class, factors, longest_repeated_factor, rotation
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
 EXAMPLE_22_SQUARES = {
@@ -102,10 +104,14 @@ class TestRunBasedScan:
                 for t in range(len(w) - lag):
                     assert (w[t] == w[t + lag]) == (t in marked)
 
-    def test_scan_and_runs_agree(self):
+    @staticmethod
+    def agreement_words():
         rng = random.Random(23)
         words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 120)))
                  for letters in ("ab", "abc") for _ in range(150)]
+        # the short words the quadratic scan used to serve
+        words += [w for n in range(1, 13) for w in canonical_words(2, n)]
+        words += [w for n in range(1, 9) for w in canonical_words(3, n)]
         # past 256 letters: repetitive words, whose longest repeated factor is
         # long, random ones, whose longest repeated factor is short, and a
         # square whose half is exactly the longest repeated factor
@@ -116,8 +122,24 @@ class TestRunBasedScan:
         words += [fib[-1][:300], "a" * 300, ("abaab" * 70)[:333],
                   "".join("ab"[bin(i).count("1") % 2] for i in range(300)),
                   "".join(rng.choice("abc") for _ in range(400)), u + u]
-        for w in words:
-            assert _squares_scan(w) == _squares_runs(w)
+        return words
+
+    def test_scan_and_runs_agree(self):
+        for w in self.agreement_words():
+            assert {s.word for s in distinct_squares(w)} == _squares_scan(w), w
+
+    def test_period_runs_are_match_runs_to_lrf(self):
+        for w in self.agreement_words() + [""]:
+            runs = period_runs(w)
+            assert len(runs) == longest_repeated_factor(w)
+            for lag, lag_runs in enumerate(runs, 1):
+                assert lag_runs == match_runs(w, lag)
+
+    def test_runs_argument_changes_nothing(self):
+        for w in self.agreement_words():
+            runs = period_runs(w)
+            assert distinct_squares(w, runs) == distinct_squares(w)
+            assert circuit_order_ranges(w, runs) == circuit_order_ranges(w)
 
     def test_pure_python_path_past_256_symbols(self):
         # over 256 distinct symbols, match_runs falls back to plain comparison

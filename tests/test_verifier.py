@@ -303,10 +303,21 @@ class TestCorpus:
         reports = list(corpus_analyze(str(path)))
         assert [r.word for r in reports] == ["aa", "bb"]
 
+    def test_crlf_blank_line_and_unterminated_last_line(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_bytes(b"aababa\r\n\r\nabab\nbaab")
+        reports = list(corpus_analyze(str(path)))
+        assert [r.word for r in reports] == ["aababa", "abab", "baab"]
+        assert reports == [theorem_check(w) for w in ("aababa", "abab", "baab")]
+        # blank lines keep their number, and the last line counts too
+        path.write_bytes(b"aa\r\n\r\n" + b"a" * 50)
+        with pytest.raises(CorpusError, match="unit 3 has 50 bytes, cap is 49"):
+            list(corpus_analyze(str(path), max_unit_len=49))
+
     def test_unit_length_cap(self, tmp_path):
         path = tmp_path / "long.txt"
         path.write_text("a" * 50 + "\n")
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError, match="unit 1"):
             list(corpus_analyze(str(path), max_unit_len=49))
 
     def test_bytes_map_to_symbols(self, tmp_path):
