@@ -10,7 +10,6 @@ the cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import networkx as nx
 
@@ -25,7 +24,6 @@ from .words import (
     is_primitive,
     least_rotation,
     power_to_length,
-    primitive_root,
     smallest_period,
 )
 
@@ -61,44 +59,40 @@ class CircuitRealization:
     edges: frozenset[str]
 
 
-@lru_cache(maxsize=1 << 16)
-def _class_info(base: str):
-    # (canonical rotation, offset of base inside it), or None if base is a
-    # power of a shorter word
-    if not is_primitive(base):
-        return None
-    canon = least_rotation(base)
-    return canon, (canon + canon).find(base)
+def _canonical_circuit(root: str, order: int) -> SmallCircuit:
+    # SmallCircuit(root, order) for a root known to be the least rotation of
+    # a primitive word no longer than order, without checks or least_rotation
+    c = object.__new__(SmallCircuit)
+    c.__dict__.update(root=root, order=order)
+    return c
 
 
 def small_circuits(w: str, r: int) -> frozenset[SmallCircuit]:
     """The small circuits of Gamma_r(w).
 
     Every edge of a small circuit is a fractional power of a primitive word
-    of length at most r; conversely the candidate read off an edge's smallest
-    period is a circuit iff every rotation extends to an edge. Reading only
-    smallest periods misses nothing: the least rotation of a primitive word
-    is unbordered, so the edge it generates has no shorter period and always
-    surfaces its class.
+    q, |q| <= r; conversely q, read off an edge's smallest period, is a
+    circuit iff every rotation of q extends to an edge. Lemma: in sorted
+    order, the first edge that surfaces a class with a circuit is its least
+    rotation's, so q is canonical as read. Proof sketch: the least rotation
+    is unbordered, so its edge has no period below |q| and surfaces the
+    class; two rotations differ within their first |q| <= r letters, so its
+    edge precedes the other rotations'. A class without a circuit fails the
+    check whichever edge surfaces it.
     """
     if not 1 <= r <= len(w):
         raise ValueError(f"graph order {r} out of range 1..{len(w)}")
     edge_labels = factors(w, r + 1)
-    seen: dict[str, bool] = {}
+    seen: set[str] = set()
     out = []
-    for e in edge_labels:
+    for e in sorted(edge_labels):
         p = smallest_period(e)
-        if p > r:
+        if p > r or e[:p] in seen:
             continue
-        q = e[:p]  # primitive: a shorter root would be a shorter period of e
-        canon = _class_info(q)[0]
-        if canon in seen:
-            continue
-        ok = all(power_to_length(t, r + 1) in edge_labels
-                 for t in conjugacy_class(q))
-        seen[canon] = ok
-        if ok:
-            out.append(SmallCircuit(canon, r))
+        x = e + e[-p:]  # slices at 0..p-1: the edges of e[:p]'s rotations
+        seen.update(x[i:i + p] for i in range(p))
+        if all(x[i:i + r + 1] in edge_labels for i in range(1, p)):
+            out.append(_canonical_circuit(e[:p], r))
     return frozenset(out)
 
 
@@ -106,11 +100,19 @@ def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
     """For each circuit class root, the contiguous range of orders it lives in.
 
     C(q, r) exists iff r >= |q| and every rotation of q stretches to a
-    periodic factor of length r+1, so per class the admissible r form the
-    interval [|q|, m-1] where m is the worst rotation's longest periodic
-    extension. Runs of the match array w[t] == w[t+lag] give those extensions
-    for all orders at once. runs is period_runs(w) when the caller already
-    has it; the result is the same either way.
+    periodic factor of length r+1, so the orders form [|q|, m-1], m the
+    least over the rotations of their longest period-|q| extension. runs is
+    period_runs(w) if the caller has it; the result is the same either way.
+
+    Lemma: at lag h, the windows u = w[t:t+h] at the positions t of the runs
+    (s, L) are the vertices of Gamma_h with the edge u.u[0] = w[t:t+h+1],
+    which leads to rot(u) = u[1:] + u[0], the window at t+1. So [q] with
+    |q| = h has a circuit iff its rotations form a cycle of u -> rot(u),
+    closed after exactly h steps; its least vertex is the root. Proof
+    sketch for m: u at t extends to length s+L+h-t, and the window at t+h
+    is u again with a shorter extension, so the first min(L, h) positions
+    of a run give every window its longest one. Windows of a run are
+    rotations of its first, so one primitivity test skips a run.
 
     Lags stop at LRF(w), the length of the longest repeated factor, because
     every small circuit C(q, r) has |q| <= r <= LRF(w). Proof sketch: if
@@ -119,36 +121,34 @@ def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
     the position by p and return to the start, which is impossible. Hence
     some length-r factor repeats.
     """
-    coverage: dict[str, list[int]] = {}
     if runs is None:
         runs = period_runs(w)
-    for lag, lag_runs in enumerate(runs, 1):
-        for s, run_len in lag_runs:
-            info = _class_info(w[s:s + lag])
-            if info is None:
-                continue
-            canon, off = info
-            arr = coverage.get(canon)
-            if arr is None:
-                arr = coverage[canon] = [0] * lag
-            span = run_len + lag
-            for phi in range(min(lag, run_len)):
-                g = off + phi
-                if g >= lag:
-                    g -= lag
-                if span - phi > arr[g]:
-                    arr[g] = span - phi
     ranges = {}
-    for canon, arr in coverage.items():
-        hi = min(arr) - 1
-        if hi >= len(canon):
-            ranges[canon] = (len(canon), hi)
+    for h, lag_runs in enumerate(runs, 1):
+        ext: dict[str, int] = {}  # window -> its longest period-h extension
+        for s, run_len in lag_runs:
+            if not is_primitive(w[s:s + h]):
+                continue
+            end = s + run_len + h
+            for t in range(s, s + min(run_len, h)):
+                u = w[t:t + h]
+                if end - t > ext.get(u, 0):
+                    ext[u] = end - t
+        while len(ext) >= h:  # fewer windows cannot close an orbit of h
+            u, m = ext.popitem()
+            orbit, v = [u], u[1:] + u[0]
+            while v in ext:
+                orbit.append(v)
+                m = min(m, ext.pop(v))
+                v = v[1:] + v[0]
+            if v == u:  # every extension is at least h + 1 long
+                ranges[min(orbit)] = (h, m - 1)
     return ranges
 
 
 def all_small_circuits(w: str) -> frozenset[SmallCircuit]:
     """Union of small_circuits(w, r) over r = 1..|w|."""
-    return frozenset(SmallCircuit(root, r)
+    return frozenset(_canonical_circuit(root, r)
                      for root, r in circuit_pairs(circuit_order_ranges(w)))
 
 
@@ -172,13 +172,13 @@ def order_counts(ranges: dict[str, tuple[int, int]]) -> dict[int, int]:
     return counts
 
 
+def _powers(root: str, length: int) -> frozenset[str]:
+    return frozenset(power_to_length(t, length) for t in conjugacy_class(root))
+
+
 def realize(c: SmallCircuit) -> CircuitRealization:
     """Vertex and edge words of the circuit; both sets have |root| elements."""
-    rots = conjugacy_class(c.root)
-    return CircuitRealization(
-        frozenset(power_to_length(t, c.order) for t in rots),
-        frozenset(power_to_length(t, c.order + 1) for t in rots),
-    )
+    return CircuitRealization(_powers(c.root, c.order), _powers(c.root, c.order + 1))
 
 
 def maximal_edge(c: SmallCircuit, order: SymbolOrder = NATURAL) -> str:
@@ -203,7 +203,7 @@ def vector_cycle(c: SmallCircuit, g: RauzyGraph) -> VectorCycle:
     """Indicator vector of the circuit's edges over all edges of g."""
     if g.order != c.order:
         raise ValueError("graph and circuit have different orders")
-    mine = realize(c).edges
+    mine = _powers(c.root, c.order + 1)
     labels = g.labels
     if not mine <= labels:
         raise ValueError("circuit does not live in this graph")
@@ -237,7 +237,7 @@ def _int_rank(rows: list[list[int]]) -> int:
 
 def _edge_rank(circuits) -> int:
     # exact rank of the circuits' edge-indicator vectors
-    supports = [realize(c).edges for c in circuits]
+    supports = [_powers(c.root, c.order + 1) for c in circuits]
     if not supports:
         return 0
     cols = {lab: i for i, lab in enumerate(sorted(set().union(*supports)))}

@@ -87,14 +87,17 @@ def _squares_scan(w: str) -> set[str]:
             if w[i:i + h] == w[i + h:i + 2 * h]}
 
 
-def period_runs(w: str) -> list[list[tuple[int, int]]]:
+def period_runs(w: str, lrf: int | None = None) -> list[list[tuple[int, int]]]:
     """[match_runs(w, lag) for lag in 1..LRF(w)], from one encoding of w.
 
     Squares and small circuits are both read off these runs; neither needs a
-    lag above LRF(w) (see distinct_squares and circuit_order_ranges).
+    lag above LRF(w) (see distinct_squares and circuit_order_ranges). lrf is
+    LRF(w) if the caller has it; the result is the same either way.
     """
+    if lrf is None:
+        lrf = longest_repeated_factor(w)
     wb = _encode(w)
-    return [match_runs(w, lag, wb) for lag in range(1, longest_repeated_factor(w) + 1)]
+    return [match_runs(w, lag, wb) for lag in range(1, lrf + 1)]
 
 
 def distinct_squares(w: str, runs=None) -> frozenset[Square]:

@@ -15,6 +15,7 @@ from itertools import groupby
 
 from .circuits import (
     SmallCircuit,
+    _canonical_circuit,
     _edge_rank,
     circuit_order_ranges,
     circuit_pairs,
@@ -114,9 +115,13 @@ class WordAnalysis:
     def of(cls, w: str) -> "WordAnalysis":
         if not w:
             raise ValueError("the bound is about nonempty words")
-        runs = period_runs(w)
-        return cls(w, distinct_squares(w, runs), circuit_order_ranges(w, runs),
-                   complexity_profile(w))
+        profile = complexity_profile(w)
+        # LRF(w) is the largest k with C_w(k) < |w|-k+1: fewer distinct
+        # length-k windows than windows means one of them repeats
+        lrf = max((k for k in range(1, len(w)) if profile[k] < len(w) - k + 1),
+                  default=0)
+        runs = period_runs(w, lrf)
+        return cls(w, distinct_squares(w, runs), circuit_order_ranges(w, runs), profile)
 
     @_lazy
     def existing(self) -> frozenset[tuple[str, int]]:
@@ -134,7 +139,7 @@ class WordAnalysis:
     @_lazy
     def circuits(self) -> list[SmallCircuit]:
         """The small circuits sorted by (order, root), for rendering."""
-        return sorted((SmallCircuit(root, r) for root, r in self.existing),
+        return sorted((_canonical_circuit(root, r) for root, r in self.existing),
                       key=lambda c: (c.order, c.root))
 
     @_lazy
@@ -437,13 +442,29 @@ def corpus_analyze(path: str, mode: str = "per-line",
         raise ValueError(f"unknown corpus mode {mode!r}")
     with open(path, "rb") as fh:
         if mode == "whole":
-            units = [fh.read().removesuffix(b"\n")]
-        else:  # streamed: one line in memory at a time
-            units = (line.rstrip(b"\r\n") for line in fh)
-        for i, unit in enumerate(units, 1):
-            if not unit:
+            whole = fh.read().removesuffix(b"\n")
+            units = [(whole, len(whole))]
+        else:
+            units = _capped_lines(fh, max_unit_len)
+        for i, (unit, size) in enumerate(units, 1):
+            if not size:
                 continue
-            if len(unit) > max_unit_len:
-                raise CorpusError(f"unit {i} has {len(unit)} bytes, "
+            if size > max_unit_len:
+                raise CorpusError(f"unit {i} has {size} bytes, "
                                   f"cap is {max_unit_len}")
             yield theorem_check(unit.decode("latin-1"))
+
+
+def _capped_lines(fh, cap: int):
+    # (line, size) per line of a binary file, without its trailing \r and \n
+    # bytes; at most cap + 2 bytes of a line are kept, so a line longer than
+    # cap comes back cut, with its full size counted in bounded chunks
+    while head := fh.readline(max(cap, 0) + 2):
+        size = trail = 0  # trail: the \r and \n bytes ending what was read
+        chunk = head
+        while chunk:
+            size += len(chunk)
+            kept = len(chunk.rstrip(b"\r\n"))
+            trail = trail + len(chunk) if not kept else len(chunk) - kept
+            chunk = b"" if chunk.endswith(b"\n") else fh.readline(1 << 16)
+        yield head[:size - trail], size - trail

@@ -8,6 +8,7 @@ import pytest
 
 import sqcirc.squares as squares
 import sqcirc.verifier as verifier
+import sqcirc.words as words
 from sqcirc.circuits import (
     SmallCircuit,
     all_small_circuits,
@@ -50,10 +51,11 @@ def count_calls(monkeypatch, *functions) -> Counter:
 @pytest.fixture
 def calls(monkeypatch):
     """Count calls to the four up-front engines: the period runs, and the
-    squares and circuit ranges read off them, and the complexity profile."""
+    squares and circuit ranges read off them, and the complexity profile;
+    and to the suffix array, which the profile builds and LRF is read off."""
     WordAnalysis.of.cache_clear()
     return count_calls(monkeypatch, period_runs, distinct_squares,
-                       circuit_order_ranges, complexity_profile)
+                       circuit_order_ranges, complexity_profile, words._suffix_array)
 
 
 def forbid(monkeypatch, target, name):
@@ -69,7 +71,8 @@ class TestOncePerWord:
         assert main(["check", w, *flags]) == 0
         capsys.readouterr()
         assert calls == {"period_runs": 1, "distinct_squares": 1,
-                         "circuit_order_ranges": 1, "complexity_profile": 1}
+                         "circuit_order_ranges": 1, "complexity_profile": 1,
+                         "_suffix_array": 1}
 
     def test_check_scans_each_lag_once(self, monkeypatch, capsys):
         # one match_runs call per lag 1..LRF, shared by squares and circuits

@@ -1,5 +1,6 @@
 """Unit tests for small-circuit enumeration and arrangement."""
 import random
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from sqcirc.circuits import (
     elementary_cycles_oracle,
     independence_rank,
     maximal_edge,
+    order_counts,
     realize,
     small_circuits,
     vector_cycle,
@@ -22,9 +24,13 @@ from sqcirc.verifier import canonical_words
 from sqcirc.words import (
     SymbolOrder,
     complexity_profile,
+    conjugacy_class,
+    factors,
+    has_period,
     is_primitive,
     least_rotation,
     longest_repeated_factor,
+    power_to_length,
 )
 
 B_BEFORE_A = SymbolOrder.from_string("ba")
@@ -34,6 +40,24 @@ NEST_WORD = "abaaabaabaaaaba"
 
 def random_word(rng, letters="ab", lo=1, hi=20):
     return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+
+def fibonacci(n):
+    f = ["a", "ab"]
+    while len(f[-1]) < n:
+        f.append(f[-1] + f[-2])
+    return f[-1][:n]
+
+
+def thue_morse(n):
+    return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
+
+
+def small_canonical_words():
+    # every canonical binary word to length 12 and ternary word to length 8
+    for size, top in ((2, 12), (3, 8)):
+        for n in range(1, top + 1):
+            yield from canonical_words(size, n)
 
 
 class TestSmallCircuitType:
@@ -137,11 +161,9 @@ def brute_lrf(w):
 
 
 def lag_cut_words():
-    # every canonical binary word to length 12 and ternary word to length 8,
-    # then seeded random words over 1-4 letters up to length 80
-    for size, top in ((2, 12), (3, 8)):
-        for n in range(1, top + 1):
-            yield from canonical_words(size, n)
+    # the small canonical words, then seeded random words over 1-4 letters
+    # up to length 80
+    yield from small_canonical_words()
     rng = random.Random(50)
     for _ in range(300):
         yield random_word(rng, "abcd"[:rng.randint(1, 4)], 1, 80)
@@ -152,6 +174,13 @@ class TestLagCut:
         for w in lag_cut_words():
             assert circuit_order_ranges(w) == ranges_all_lags(w), w
 
+    # abaXbab: C(ab, 2) joins aba and bab, each from a run of length 1 < 2
+    @pytest.mark.parametrize("w", [fibonacci(384), thue_morse(384), "a" * 300,
+                                   "ab" * 150, "abaXbab"],
+                             ids=["fib384", "tm384", "a300", "ab150", "abaXbab"])
+    def test_long_and_pieced_words_equal_uncut_oracle(self, w):
+        assert circuit_order_ranges(w) == ranges_all_lags(w)
+
     def test_no_repeated_factor_no_circuits(self):
         for w in ("a", "abc"):
             assert longest_repeated_factor(w) == 0
@@ -161,6 +190,43 @@ class TestLagCut:
         assert longest_repeated_factor("") == 0 == brute_lrf("")
         for w in lag_cut_words():
             assert longest_repeated_factor(w) == brute_lrf(w), w
+
+
+def small_circuits_brute(w, r):
+    """Every primitive q read off any period p <= r of any edge, kept when
+    every rotation extends to an edge, and named by its least rotation."""
+    edges = factors(w, r + 1)
+    return {SmallCircuit(least_rotation(e[:p]), r)
+            for e in edges for p in range(1, r + 1)
+            if has_period(e, p) and is_primitive(e[:p])
+            and all(power_to_length(t, r + 1) in edges for t in conjugacy_class(e[:p]))}
+
+
+class TestDirectEnumerator:
+    def test_equals_brute_enumerator(self):
+        for w in small_canonical_words():
+            for r in range(1, len(w) + 1):
+                got = small_circuits(w, r)
+                assert got == small_circuits_brute(w, r), (w, r)
+                # roots come back canonical without SmallCircuit's normalization
+                assert all(c.root == least_rotation(c.root) for c in got), (w, r)
+
+    def test_engines_call_no_least_rotation(self, monkeypatch):
+        calls = []
+
+        def counted(w, _original=least_rotation):
+            calls.append(w)
+            return _original(w)
+        for name, module in list(sys.modules.items()):
+            if name == "sqcirc" or name.startswith("sqcirc."):
+                for attr, value in list(vars(module).items()):
+                    if value is least_rotation:
+                        monkeypatch.setattr(module, attr, counted)
+        w = fibonacci(300)
+        counts = order_counts(circuit_order_ranges(w))
+        per_order = {r: len(small_circuits(w, r)) for r in counts}
+        assert calls == []
+        assert counts and per_order == counts
 
 
 class TestRealize:

@@ -152,6 +152,14 @@ class TestCorpus:
         assert code == 2
         assert "corpus error" in err
 
+    def test_unit_cap_without_newline(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_bytes(b"a" * 200_000)
+        code, out, err = run(capsys, "corpus", str(path), "--per-line")
+        assert code == 2
+        assert out == ""
+        assert err == "sqcirc: corpus error: unit 1 has 200000 bytes, cap is 1024\n"
+
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "e.txt"
         path.write_bytes(b"")

@@ -1,6 +1,7 @@
 """Unit tests for theorem checks, sweeps, corpus runs, and report emission."""
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -319,6 +320,36 @@ class TestCorpus:
         path.write_text("a" * 50 + "\n")
         with pytest.raises(CorpusError, match="unit 1"):
             list(corpus_analyze(str(path), max_unit_len=49))
+
+    def test_over_cap_line_without_newline_is_counted_in_bounded_memory(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_bytes(b"ab\n" + b"a" * 3_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorpusError) as exc:
+                list(corpus_analyze(str(path), max_unit_len=1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "unit 2 has 3000000 bytes, cap is 1024"
+        assert peak < 512 * 1024
+
+    @pytest.mark.parametrize("cap, line", [
+        (4, b"abcd\r\r\r\r\r\n"), (4, b"abcd\r\r"), (4, b"abcd\r"), (4, b"abcde\r"),
+        (4, b"abcde" + b"\r" * 70_000 + b"\n"), (4, b"a" * 70_000 + b"\r\n"),
+        (4, b"a" * 70_000 + b"\r" * 70_000), (0, b"a\n"), (-1, b"a\n"), (-5, b"ab")])
+    def test_unit_size_is_the_line_without_its_ending(self, tmp_path, cap, line):
+        # the line follows a blank one and ends the file
+        path = tmp_path / "edge.txt"
+        path.write_bytes(b"\n" + line)
+        unit = line.rstrip(b"\r\n")
+        if len(unit) > cap:
+            with pytest.raises(CorpusError) as exc:
+                list(corpus_analyze(str(path), max_unit_len=cap))
+            assert str(exc.value) == f"unit 2 has {len(unit)} bytes, cap is {cap}"
+        else:
+            reports = corpus_analyze(str(path), max_unit_len=cap)
+            assert [r.word for r in reports] == [unit.decode("latin-1")]
 
     def test_bytes_map_to_symbols(self, tmp_path):
         path = tmp_path / "bytes.txt"
