@@ -18,7 +18,6 @@ from .squares import period_runs
 from .words import (
     NATURAL,
     SymbolOrder,
-    conjugacy_class,
     extremal_rotation,
     factors,
     is_primitive,
@@ -173,7 +172,9 @@ def order_counts(ranges: dict[str, tuple[int, int]]) -> dict[int, int]:
 
 
 def _powers(root: str, length: int) -> frozenset[str]:
-    return frozenset(power_to_length(t, length) for t in conjugacy_class(root))
+    # the rotation of root at i, powered to length, is root^oo's window at i
+    x = power_to_length(root, length + len(root) - 1)
+    return frozenset(x[i:i + length] for i in range(len(root)))
 
 
 def realize(c: SmallCircuit) -> CircuitRealization:
@@ -235,11 +236,8 @@ def _int_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _edge_rank(circuits) -> int:
-    # exact rank of the circuits' edge-indicator vectors
-    supports = [_powers(c.root, c.order + 1) for c in circuits]
-    if not supports:
-        return 0
+def _edge_rank(supports: list[frozenset[str]]) -> int:
+    # exact rank of the indicator vectors of the circuits' edge sets
     cols = {lab: i for i, lab in enumerate(sorted(set().union(*supports)))}
     rows = [[0] * len(cols) for _ in supports]
     for row, sup in zip(rows, supports):
@@ -250,7 +248,7 @@ def _edge_rank(circuits) -> int:
 
 def independence_rank(w: str, r: int) -> int:
     """Exact rank of the circuits' edge-indicator vectors in Gamma_r(w)."""
-    return _edge_rank(small_circuits(w, r))
+    return _edge_rank([_powers(c.root, r + 1) for c in small_circuits(w, r)])
 
 
 def elementary_cycles_oracle(g: RauzyGraph, max_size: int,

@@ -122,12 +122,12 @@ def _cmd_circuits(args, order) -> int:
     w = args.word
     circs = (small_circuits(w, args.n) if args.n is not None
              else all_small_circuits(w))
-    for c in sorted(circs, key=lambda c: (c.order,
-                                          order.sort_key(maximal_edge(c, order)))):
+    top = {c: maximal_edge(c, order) for c in circs}
+    for c in sorted(circs, key=lambda c: (c.order, order.sort_key(top[c]))):
         real = realize(c)
         print(f"{c} vertices={{{', '.join(sorted(real.vertices))}}} "
               f"edges={{{', '.join(sorted(real.edges))}}} "
-              f"max_edge={maximal_edge(c, order)}")
+              f"max_edge={top[c]}")
     return OK
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import SmallCircuit, circuit_order_ranges, circuit_pairs
-from .squares import Square, SquareClass, square_classes, square_coordinates
+from .squares import (Square, SquareClass, distinct_squares, group_classes,
+                      period_runs, square_coordinates)
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,10 @@ def inject_class(w: str, cls: SquareClass) -> list[tuple[Square, SmallCircuit]]:
 
 
 def build_injection(w: str) -> InjectionReport:
-    """The full map over every class, with its health flags."""
-    return audit_injection(w, square_classes(w), circuit_pairs(circuit_order_ranges(w)))
+    """The full map over every class, with its health flags, from one scan."""
+    runs = period_runs(w)
+    return audit_injection(w, group_classes(distinct_squares(w, runs)),
+                           circuit_pairs(circuit_order_ranges(w, runs)))
 
 
 def audit_injection(w: str, classes: list[SquareClass],

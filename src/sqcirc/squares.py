@@ -10,13 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .words import (
-    conjugacy_class,
-    is_primitive,
-    least_rotation,
-    longest_repeated_factor,
-    primitive_root,
-)
+from .words import is_primitive, least_rotation, longest_repeated_factor, primitive_root
 
 _MISMATCH = re.compile(rb"[^\x00]+")
 
@@ -132,49 +126,48 @@ def distinct_squares(w: str, runs=None) -> frozenset[Square]:
     return frozenset(Square(sq[:len(sq) // 2], sq) for sq in found)
 
 
-def _qualifying_rotations(w: str, root: str, index: int) -> list[str]:
-    return [t for t in conjugacy_class(root) if t * (2 * index) in w]
-
-
 def class_representative(w: str, any_root: str) -> str:
     """The canonical name v of the class of any_root in w.
 
     v is conjugate to any_root, v^{2*Index} is a factor of w, and among the
     qualifying rotations v is lexicographically least under the default order.
+    u and v are conjugate iff |u| == |v| and u is a factor of vv.
     """
     if not is_primitive(any_root):
         raise ValueError("root must be primitive")
     for cls in square_classes(w):
-        if cls.root in conjugacy_class(any_root):
+        if len(cls.root) == len(any_root) and cls.root in any_root + any_root:
             return cls.root
     raise ValueError(f"no square of class [{any_root}] occurs in the word")
 
 
 def square_classes(w: str) -> list[SquareClass]:
     """Partition of distinct_squares(w) by conjugacy of the half's root."""
-    return group_classes(w, distinct_squares(w))
+    return group_classes(distinct_squares(w))
 
 
-def group_classes(w: str, squares) -> list[SquareClass]:
-    """Partition the distinct squares of w by conjugacy of the half's root.
+def group_classes(squares) -> list[SquareClass]:
+    """Partition the distinct squares of a word by conjugacy of the half's root.
 
     Classes are sorted by (root length, root) under the default order. The
-    index is the largest n such that u^{2n} is a factor for some u conjugate
-    to the root; the stored root is the least qualifying rotation.
+    index is the largest n such that u^{2n} is a factor of the word for some
+    u conjugate to the root; such a u qualifies, and the stored root is the
+    least qualifying rotation.
+
+    Lemma: the qualifying rotations are the primitive roots of the members
+    of top exponent. Proof sketch: t^(2*index) is a factor iff it is one of
+    the distinct squares, the one with half t^index, whose primitive root is
+    t and whose exponent is index.
     """
     groups: dict[str, set[Square]] = {}
-    indexes: dict[str, int] = {}
+    heads: dict[str, tuple[int, str]] = {}  # class -> least (-exponent, root)
     for sq in squares:
         root, exp = primitive_root(sq.half)
         canon = least_rotation(root)
         groups.setdefault(canon, set()).add(sq)
-        if exp > indexes.get(canon, 0):
-            indexes[canon] = exp
-    out = []
-    for canon, members in groups.items():
-        index = indexes[canon]
-        rep = min(_qualifying_rotations(w, canon, index))
-        out.append(SquareClass(rep, index, frozenset(members)))
+        heads[canon] = min(heads.get(canon, (0, root)), (-exp, root))
+    out = [SquareClass(root, -neg, frozenset(groups[canon]))
+           for canon, (neg, root) in heads.items()]
     out.sort(key=lambda c: (len(c.root), c.root))
     return out
 

@@ -17,6 +17,7 @@ from .circuits import (
     SmallCircuit,
     _canonical_circuit,
     _edge_rank,
+    _powers,
     circuit_order_ranges,
     circuit_pairs,
     maximal_edge,
@@ -35,7 +36,7 @@ from .squares import (
     rebuild_from_coordinates,
     square_coordinates,
 )
-from .words import NATURAL, SymbolOrder, complexity_profile
+from .words import NATURAL, SymbolOrder, _profile_lrf, complexity_profile
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -116,11 +117,7 @@ class WordAnalysis:
         if not w:
             raise ValueError("the bound is about nonempty words")
         profile = complexity_profile(w)
-        # LRF(w) is the largest k with C_w(k) < |w|-k+1: fewer distinct
-        # length-k windows than windows means one of them repeats
-        lrf = max((k for k in range(1, len(w)) if profile[k] < len(w) - k + 1),
-                  default=0)
-        runs = period_runs(w, lrf)
+        runs = period_runs(w, _profile_lrf(profile))
         return cls(w, distinct_squares(w, runs), circuit_order_ranges(w, runs), profile)
 
     @_lazy
@@ -134,7 +131,7 @@ class WordAnalysis:
 
     @_lazy
     def classes(self) -> list[SquareClass]:
-        return group_classes(self.word, self.squares)
+        return group_classes(self.squares)
 
     @_lazy
     def circuits(self) -> list[SmallCircuit]:
@@ -183,13 +180,14 @@ class WordAnalysis:
             bad.append(f"{w}: injection images collide")
         for r, expected in self.counts.items():
             per_r = small_circuits(w, r)
-            if len(per_r) != expected:
+            if len(per_r) != expected or any((c.root, r) not in self.existing
+                                             for c in per_r):  # same set
                 bad.append(f"{w}: order {r} enumerators disagree "
                            f"({len(per_r)} direct vs {expected} batched)")
-            medges = [maximal_edge(c) for c in per_r]
-            if len(set(medges)) != len(medges):
+            edges = [_powers(c.root, r + 1) for c in per_r]
+            if len({max(e) for e in edges}) != len(edges):  # maximal edges
                 bad.append(f"{w}: order {r} maximal edges collide")
-            if _edge_rank(per_r) != len(per_r):
+            if _edge_rank(edges) != len(edges):
                 bad.append(f"{w}: order {r} circuits are linearly dependent")
         return tuple(bad)
 
@@ -345,8 +343,7 @@ def _sweep_lengths(alphabet_size: int, lengths, prefix: str = ""):
 
 
 def _search_unit(args):
-    alphabet_size, max_len, prefix, lengths = args
-    return _sweep_lengths(alphabet_size, lengths, prefix)
+    return _sweep_lengths(*args)
 
 
 def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
@@ -366,8 +363,8 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
         parts = [_sweep_lengths(alphabet_size, range(1, max_len + 1))]
     else:
         depth = min(max_len, 6)
-        units = [(alphabet_size, max_len, "", range(1, depth))]
-        units += [(alphabet_size, max_len, p, range(depth, max_len + 1))
+        units = [(alphabet_size, range(1, depth))]
+        units += [(alphabet_size, range(depth, max_len + 1), p)
                   for p in canonical_words(alphabet_size, depth)]
         jobs = min(jobs, os.cpu_count() or 1, len(units))
         with multiprocessing.Pool(jobs) as pool:

@@ -107,35 +107,39 @@ def conjugacy_class(w: str) -> frozenset[str]:
 
 def extremal_rotation(w: str, order: SymbolOrder = NATURAL,
                       direction: str = "least") -> str:
-    """The least or greatest element of the conjugacy class of w under order."""
+    """The least or greatest element of the conjugacy class of w under order.
+
+    Renaming the letters by rank, reversed for the greatest (rotations have
+    one length, so that reverses their order), makes it the least rotation
+    of the renamed word t. Lemma: that starts with the least letter c of t,
+    as any rotation starting with c beats one that does not. So only the
+    rotations at c's occurrences, found with ``str.find``, compete.
+    """
     order.check_covers(w)
-    pick = min if direction == "least" else max
     if direction not in ("least", "greatest"):
         raise ValueError(f"direction must be least or greatest, got {direction!r}")
-    return pick(conjugacy_class(w), key=order.sort_key)
+    if not w:
+        raise ValueError("empty word has no conjugacy class")
+    t = w
+    if order.symbols is not None or direction == "greatest":
+        ranked = sorted(set(w), key=order.sort_key, reverse=direction == "greatest")
+        t = w.translate({ord(x): i for i, x in enumerate(ranked)})
+    n, tt, c = len(t), t + t, min(t)
+    best, at, i = t, 0, t.find(c)
+    while i >= 0:
+        if (cand := tt[i:i + n]) < best:
+            best, at = cand, i
+        i = t.find(c, i + 1)
+    return w[at:] + w[:at]
 
 
 def least_rotation(w: str) -> str:
     """Canonical conjugacy-class representative: least rotation, natural order.
 
-    Lemma: the least rotation starts with the least letter c = min(w).
-    Proof sketch: a rotation starting with a letter above c is beaten by
-    any rotation starting with c, and every word has one. So only the
-    rotations at the occurrences of c, found with ``str.find``, compete.
-
     >>> least_rotation("cabab")
     'ababc'
     """
-    if not w:
-        raise ValueError("empty word has no conjugacy class")
-    n, ww, c = len(w), w + w, min(w)
-    best, i = w, w.find(c)
-    while i >= 0:
-        cand = ww[i:i + n]
-        if cand < best:
-            best = cand
-        i = w.find(c, i + 1)
-    return best
+    return extremal_rotation(w)
 
 
 def smallest_period(w: str) -> int:
@@ -221,7 +225,7 @@ def fractional_power(u: str, alpha) -> str:
         alpha = RationalExponent(alpha, 0)
     if alpha.remainder_len >= len(u):
         raise ValueError("remainder length must be shorter than the base")
-    return u * alpha.integer_part + u[:alpha.remainder_len]
+    return power_to_length(u, alpha.integer_part * len(u) + alpha.remainder_len)
 
 
 def power_to_length(u: str, total_len: int) -> str:
@@ -289,15 +293,20 @@ def _lcp_array(w: str, sa: list[int]) -> list[int]:
 def longest_repeated_factor(w: str) -> int:
     """LRF(w): the length of the longest factor that occurs at least twice.
 
-    The two occurrences may overlap. A factor repeats exactly when two
-    suffixes share it as a prefix, and the longest shared prefix is found
-    between neighbours in suffix order, so LRF is the largest lcp entry.
-    LRF("") = 0, and LRF(w) = 0 means no letter of w repeats.
+    The two occurrences may overlap. LRF("") = 0, and LRF(w) = 0 means no
+    letter of w repeats. Read off the complexity profile by _profile_lrf.
 
     >>> longest_repeated_factor("aababa")
     3
     """
-    return max(_lcp_array(w, _suffix_array(w)), default=0)
+    return _profile_lrf(complexity_profile(w))
+
+
+def _profile_lrf(profile: tuple[int, ...]) -> int:
+    # LRF(w) is the largest k with C_w(k) < |w|-k+1: fewer distinct length-k
+    # windows than windows means one of them repeats
+    n = len(profile) - 2
+    return max((k for k in range(1, n) if profile[k] < n - k + 1), default=0)
 
 
 def complexity_profile(w: str) -> tuple[int, ...]:

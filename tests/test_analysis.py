@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import sqcirc.circuits as circuits
 import sqcirc.squares as squares
 import sqcirc.verifier as verifier
 import sqcirc.words as words
@@ -29,6 +30,13 @@ from sqcirc.verifier import (
 from sqcirc.words import complexity_profile, longest_repeated_factor
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
+
+
+def fibonacci(n):
+    f = ["a", "ab"]
+    while len(f[-1]) < n:
+        f.append(f[-1] + f[-2])
+    return f[-1][:n]
 
 
 def count_calls(monkeypatch, *functions) -> Counter:
@@ -74,13 +82,29 @@ class TestOncePerWord:
                          "circuit_order_ranges": 1, "complexity_profile": 1,
                          "_suffix_array": 1}
 
+    @pytest.mark.parametrize("command", ["inject", "classes", "squares", "circuits"])
+    def test_word_commands_scan_once(self, calls, capsys, command):
+        assert main([command, EXAMPLE_22 * 3]) == 0
+        capsys.readouterr()
+        assert calls["period_runs"] == 1
+        assert calls["_suffix_array"] == 1
+
+    @pytest.mark.parametrize("command,w", [("check", fibonacci(300)),
+                                           ("circuits", EXAMPLE_22 * 3)],
+                             ids=["check-fib300", "circuits-example22x3"])
+    def test_one_maximal_edge_per_circuit(self, monkeypatch, capsys, command, w):
+        # the report takes each circuit's maximal edge once; the battery
+        # reads it off the circuit's edge set
+        WordAnalysis.of.cache_clear()
+        counts = count_calls(monkeypatch, circuits.maximal_edge)
+        assert main([command, w]) == 0
+        capsys.readouterr()
+        assert counts["maximal_edge"] == len(all_small_circuits(w))
+
     def test_check_scans_each_lag_once(self, monkeypatch, capsys):
         # one match_runs call per lag 1..LRF, shared by squares and circuits
         WordAnalysis.of.cache_clear()
-        fib = ["a", "ab"]
-        while len(fib[-1]) < 300:
-            fib.append(fib[-1] + fib[-2])
-        w = fib[-1][:300]
+        w = fibonacci(300)
         counts = count_calls(monkeypatch, squares.match_runs)
         assert main(["check", w]) == 0
         capsys.readouterr()
@@ -118,6 +142,26 @@ class TestOncePerWord:
         forbid(monkeypatch, verifier, "audit_injection")
         assert analysis.injection is first
         assert analysis.violations == ()
+
+
+class TestBattery:
+    # the direct enumerator finds C(b,1) in place of C(a,1), keeping the
+    # count, or finds nothing at order 1
+    @pytest.mark.parametrize("found,counts", [({SmallCircuit("b", 1)}, "1 direct"),
+                                              (set(), "0 direct")])
+    def test_enumerators_compared_as_sets(self, monkeypatch, found, counts):
+        WordAnalysis.of.cache_clear()
+        original = verifier.small_circuits
+
+        def faked(w, r):
+            return frozenset(found) if r == 1 else original(w, r)
+        monkeypatch.setattr(verifier, "small_circuits", faked)
+        assert original("aababa", 1) == {SmallCircuit("a", 1)}
+        try:
+            assert verify_word("aababa") == [
+                f"aababa: order 1 enumerators disagree ({counts} vs 1 batched)"]
+        finally:  # the cached analysis holds the faked battery's verdict
+            WordAnalysis.of.cache_clear()
 
 
 class TestFieldsMatchStandaloneFunctions:

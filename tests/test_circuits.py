@@ -6,6 +6,7 @@ import pytest
 
 from sqcirc.circuits import (
     SmallCircuit,
+    _powers,
     all_small_circuits,
     cao_less,
     circuit_counts_by_order,
@@ -243,6 +244,14 @@ class TestRealize:
     def test_nest_word_circuit_edges(self):
         real = realize(SmallCircuit("aab", 5))
         assert real.edges == {"aabaab", "abaaba", "baabaa"}
+
+    def test_powers_match_definition(self):
+        # the powers of every rotation of root to the given length
+        for w in small_canonical_words():
+            if len(w) <= 7:
+                for length in range(1, 2 * len(w) + 3):
+                    assert _powers(w, length) == frozenset(
+                        power_to_length(t, length) for t in conjugacy_class(w)), (w, length)
 
     def test_cardinality_equals_root_length(self):
         rng = random.Random(43)

@@ -170,7 +170,28 @@ class TestRunBasedScan:
         assert match_runs("ab", 5) == []
 
 
+def classes_by_substring_rule(w):
+    """Oracle for each class's (root, index): the index is the largest n with
+    t^(2n) a factor of w for a rotation t, and the root is the least such t,
+    both found by searching w for the powers of every rotation."""
+    out = []
+    for cls in square_classes(w):
+        rots = conjugacy_class(cls.root)
+        index = max(n for n in range(1, len(w) + 1)
+                    if any(t * (2 * n) in w for t in rots))
+        out.append((min(t for t in rots if t * (2 * index) in w), index))
+    return out
+
+
 class TestSquareClasses:
+    def test_representatives_equal_substring_rule(self):
+        words = [w for size, top in ((2, 12), (3, 8))
+                 for n in range(1, top + 1) for w in canonical_words(size, n)]
+        words += ["abcabcabcabca", EXAMPLE_22, EXAMPLE_22 * 3, "ab" * 9 + "ba" * 9]
+        for w in words:
+            assert ([(c.root, c.index) for c in square_classes(w)]
+                    == classes_by_substring_rule(w)), w
+
     def test_twenty_two_letter_class_table(self):
         classes = square_classes(EXAMPLE_22)
         table = [(c.root, len(c.members)) for c in classes]

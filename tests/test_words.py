@@ -349,6 +349,24 @@ class TestExtremalRotation:
     def test_least_rotation_shortcut(self):
         assert least_rotation("baaba") == "aabab"
 
+    def test_equals_extremes_of_class(self):
+        # every word over {a,b} to length 12 and over {a,b,c} to length 8
+        cab = SymbolOrder.from_string("cab")
+        for letters, top, orders in (("ab", 12, (NATURAL, B_BEFORE_A, cab)),
+                                     ("abc", 8, (NATURAL, cab))):
+            for n in range(1, top + 1):
+                for t in itertools.product(letters, repeat=n):
+                    w = "".join(t)
+                    rots = conjugacy_class(w)
+                    for order in orders:
+                        for direction, pick in (("least", min), ("greatest", max)):
+                            assert (extremal_rotation(w, order, direction)
+                                    == pick(rots, key=order.sort_key)), (w, order, direction)
+
+    def test_empty_word(self):
+        with pytest.raises(ValueError, match="empty word has no conjugacy class"):
+            extremal_rotation("", NATURAL, "greatest")
+
     def test_missing_symbol(self):
         with pytest.raises(ValueError):
             extremal_rotation("abc", B_BEFORE_A)
