@@ -10,6 +10,7 @@ the cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import networkx as nx
 
@@ -104,14 +105,13 @@ def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
     period_runs(w) if the caller has it; the result is the same either way.
 
     Lemma: at lag h, the windows u = w[t:t+h] at the positions t of the runs
-    (s, L) are the vertices of Gamma_h with the edge u.u[0] = w[t:t+h+1],
-    which leads to rot(u) = u[1:] + u[0], the window at t+1. So [q] with
-    |q| = h has a circuit iff its rotations form a cycle of u -> rot(u),
-    closed after exactly h steps; its least vertex is the root. Proof
-    sketch for m: u at t extends to length s+L+h-t, and the window at t+h
-    is u again with a shorter extension, so the first min(L, h) positions
-    of a run give every window its longest one. Windows of a run are
-    rotations of its first, so one primitivity test skips a run.
+    (s, L) are the ends of direct_order_ranges, so [q] with |q| = h has a
+    circuit iff u -> rot(u) closes on its rotations after exactly h steps;
+    its least vertex is the root. Proof sketch for m: u at t extends to
+    length s+L+h-t, and the window at t+h is u again with a shorter
+    extension, so the first min(L, h) positions of a run give every window
+    its longest one. Windows of a run are rotations of its first, so one
+    primitivity test skips a run.
 
     Lags stop at LRF(w), the length of the longest repeated factor, because
     every small circuit C(q, r) has |q| <= r <= LRF(w). Proof sketch: if
@@ -142,6 +142,41 @@ def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
                 v = v[1:] + v[0]
             if v == u:  # every extension is at least h + 1 long
                 ranges[min(orbit)] = (h, m - 1)
+    return ranges
+
+
+def direct_order_ranges(w: str, lrf: int) -> dict[str, tuple[int, int]]:
+    """circuit_order_ranges(w) read off factor tests alone; lrf is LRF(w).
+
+    Lemma (circuit edges): Gamma_r(w) has the edges L_w(r+1), so C(q, r) exists
+    iff r >= |q| and the |q| windows of length r+1 of q^oo occur in w. At
+    r = p = |q| they are the edges u.u[0] from u to rot(u) = u[1:] + u[0], u a
+    rotation; so [q] has a circuit at order p iff u -> rot(u) stays in
+    ends = {w[t:t+p] : w[t] == w[t+p]} and closes after exactly p steps (fewer:
+    u is a power). p ends need p starts t < n - p. Lemma (monotonicity): the
+    windows of length L of q^oo are prefixes of those of length L+1, and
+    factors are prefix closed, so the orders form [|q|, M-1], M the largest
+    length whose windows all occur (binary search). Lemma (roots <= LRF): every
+    small circuit has |q| <= r <= LRF(w) (see circuit_order_ranges): M <= lrf + 1.
+    """
+    n, ranges = len(w), {}
+    for p in range(1, min(lrf, n // 2) + 1):
+        ends = {w[t:t + p] for t in compress(range(n - p), map(str.__eq__, w, w[p:]))}
+        while len(ends) >= p:  # fewer cannot close an orbit of p
+            u = ends.pop()
+            root, v, steps = u, u[1:] + u[0], 1
+            while v in ends:
+                ends.remove(v)
+                root, v, steps = min(root, v), v[1:] + v[0], steps + 1
+            if v == u and steps == p:
+                x, good, bad = power_to_length(root, lrf + p), p + 1, lrf + 2
+                while bad - good > 1:  # M in [good, bad)
+                    mid = (good + bad) // 2
+                    if all(x[i:i + mid] in w for i in range(p)):
+                        good = mid
+                    else:
+                        bad = mid
+                ranges[root] = (p, good - 1)
     return ranges
 
 

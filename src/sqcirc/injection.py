@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import SmallCircuit, circuit_order_ranges, circuit_pairs
+from .circuits import (SmallCircuit, _canonical_circuit, circuit_order_ranges,
+                       circuit_pairs)
 from .squares import (Square, SquareClass, distinct_squares, group_classes,
                       period_runs, square_coordinates)
+from .words import least_rotation
 
 
 @dataclass(frozen=True)
@@ -31,16 +33,12 @@ def inject_class(w: str, cls: SquareClass) -> list[tuple[Square, SmallCircuit]]:
     to C(v, l + i - 1); the rank pairing is a convention, any bijection onto
     those circuits preserves the counting argument.
     """
-    l = len(cls.root)
+    l, canon = len(cls.root), least_rotation(cls.root)  # primitive, orders >= l
     if cls.index >= 2:
-        pairs = []
-        for sq in sorted(cls.members):
-            co = square_coordinates(sq, cls)
-            pairs.append((sq, SmallCircuit(cls.root, co.j * l + co.i - 1)))
-        return pairs
-    ordered = sorted(cls.members, key=lambda s: s.word)
-    return [(sq, SmallCircuit(cls.root, l + i - 1))
-            for i, sq in enumerate(ordered, 1)]
+        return [(sq, _canonical_circuit(canon, co.j * l + co.i - 1))
+                for sq in sorted(cls.members) for co in [square_coordinates(sq, cls)]]
+    return [(sq, _canonical_circuit(canon, l + i - 1))
+            for i, sq in enumerate(sorted(cls.members, key=lambda s: s.word), 1)]
 
 
 def build_injection(w: str) -> InjectionReport:

@@ -161,9 +161,12 @@ def group_classes(squares) -> list[SquareClass]:
     """
     groups: dict[str, set[Square]] = {}
     heads: dict[str, tuple[int, str]] = {}  # class -> least (-exponent, root)
+    named: dict[str, str] = {}  # each rotation (so conjugate) of a root seen -> class
     for sq in squares:
         root, exp = primitive_root(sq.half)
-        canon = least_rotation(root)
+        if (canon := named.get(root)) is None:
+            canon = least_rotation(root)
+            named.update((root[i:] + root[:i], canon) for i in range(len(root)))
         groups.setdefault(canon, set()).add(sq)
         heads[canon] = min(heads.get(canon, (0, root)), (-exp, root))
     out = [SquareClass(root, -neg, frozenset(groups[canon]))

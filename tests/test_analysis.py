@@ -101,6 +101,17 @@ class TestOncePerWord:
         capsys.readouterr()
         assert counts["maximal_edge"] == len(all_small_circuits(w))
 
+    def test_one_least_rotation_per_class(self, monkeypatch, capsys):
+        # group_classes names each class once, and inject_class names its
+        # circuits once
+        WordAnalysis.of.cache_clear()
+        w = fibonacci(300)
+        classes = len(square_classes(w))
+        counts = count_calls(monkeypatch, words.least_rotation)
+        assert main(["check", w]) == 0
+        capsys.readouterr()
+        assert counts["least_rotation"] == 2 * classes
+
     def test_check_scans_each_lag_once(self, monkeypatch, capsys):
         # one match_runs call per lag 1..LRF, shared by squares and circuits
         WordAnalysis.of.cache_clear()
@@ -145,23 +156,62 @@ class TestOncePerWord:
 
 
 class TestBattery:
-    # the direct enumerator finds C(b,1) in place of C(a,1), keeping the
-    # count, or finds nothing at order 1
-    @pytest.mark.parametrize("found,counts", [({SmallCircuit("b", 1)}, "1 direct"),
-                                              (set(), "0 direct")])
-    def test_enumerators_compared_as_sets(self, monkeypatch, found, counts):
+    @staticmethod
+    def fake_direct_engine(monkeypatch, edit):
+        # the battery's direct engine reports the ranges edit makes of its own
         WordAnalysis.of.cache_clear()
-        original = verifier.small_circuits
+        original = verifier.direct_order_ranges
+        monkeypatch.setattr(verifier, "direct_order_ranges",
+                            lambda w, lrf: edit(original(w, lrf)))
+        assert original("aababa", 3) == {"a": (1, 1), "ab": (2, 3)}
 
-        def faked(w, r):
-            return frozenset(found) if r == 1 else original(w, r)
-        monkeypatch.setattr(verifier, "small_circuits", faked)
-        assert original("aababa", 1) == {SmallCircuit("a", 1)}
+    # the direct engine finds C(b,1) in place of C(a,1), keeping the count,
+    # or finds nothing at order 1
+    @pytest.mark.parametrize("found,counts", [({"b": (1, 1)}, "1 direct"),
+                                              ({}, "0 direct")])
+    def test_enumerators_compared_as_sets(self, monkeypatch, found, counts):
+        self.fake_direct_engine(monkeypatch, lambda ranges: {
+            **{q: span for q, span in ranges.items() if q != "a"}, **found})
         try:
             assert verify_word("aababa") == [
                 f"aababa: order 1 enumerators disagree ({counts} vs 1 batched)"]
         finally:  # the cached analysis holds the faked battery's verdict
             WordAnalysis.of.cache_clear()
+
+    def test_order_only_the_direct_engine_reports(self, monkeypatch):
+        self.fake_direct_engine(monkeypatch, lambda ranges: {**ranges, "b": (4, 4)})
+        try:
+            assert verify_word("aababa") == [
+                "aababa: order 4 enumerators disagree (1 direct vs 0 batched)"]
+        finally:
+            WordAnalysis.of.cache_clear()
+
+    # at order 2 the faked root joins C(ab, 2), whose edges are aba and bab:
+    # ba names the same class, so the edge sets are equal and the rank is 1;
+    # babaa's greatest rotation also starts with bab, but its edges add baa
+    # and aab; aab's maximal edge baa differs from bab in its last letter only
+    @pytest.mark.parametrize("extra,messages", [
+        ("ba", ["maximal edges collide", "circuits are linearly dependent"]),
+        ("babaa", ["maximal edges collide"]),
+        ("aab", [])])
+    def test_maximal_edges_and_rank(self, monkeypatch, extra, messages):
+        self.fake_direct_engine(monkeypatch, lambda ranges: {**ranges, extra: (2, 2)})
+        try:
+            assert verify_word("aababa") == [
+                "aababa: order 2 enumerators disagree (2 direct vs 1 batched)",
+                *(f"aababa: order 2 {m}" for m in messages)]
+        finally:
+            WordAnalysis.of.cache_clear()
+
+    def test_check_runs_no_per_order_enumeration_or_rank(self, monkeypatch, capsys):
+        # distinct maximal edges settle the rank, and one engine call covers
+        # every order
+        WordAnalysis.of.cache_clear()
+        counts = count_calls(monkeypatch, circuits.small_circuits, circuits._edge_rank,
+                             circuits.direct_order_ranges)
+        assert main(["check", fibonacci(300)]) == 0
+        assert "injective: True" in capsys.readouterr().out
+        assert counts == {"direct_order_ranges": 1}
 
 
 class TestFieldsMatchStandaloneFunctions:

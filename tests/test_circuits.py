@@ -6,11 +6,13 @@ import pytest
 
 from sqcirc.circuits import (
     SmallCircuit,
+    _edge_rank,
     _powers,
     all_small_circuits,
     cao_less,
     circuit_counts_by_order,
     circuit_order_ranges,
+    direct_order_ranges,
     elementary_cycles_oracle,
     independence_rank,
     maximal_edge,
@@ -228,6 +230,39 @@ class TestDirectEnumerator:
         per_order = {r: len(small_circuits(w, r)) for r in counts}
         assert calls == []
         assert counts and per_order == counts
+
+
+def factor_test_words():
+    # the small canonical words, 200 seeded random words over 1-4 letters,
+    # Fibonacci and Thue-Morse 384, unary words and the paper's words
+    yield from small_canonical_words()
+    rng = random.Random(51)
+    for _ in range(200):
+        yield random_word(rng, "abcd"[:rng.randint(1, 4)], 1, 80)
+    yield from (fibonacci(384), thue_morse(384))
+    yield from ("a" * n for n in range(1, 65))
+    yield from ("aababa", NEST_WORD, "baababaababbbabbabbbab")
+
+
+class TestFactorTestEngine:
+    def test_equals_batched_engine(self):
+        for w in factor_test_words():
+            assert direct_order_ranges(w, longest_repeated_factor(w)) == \
+                circuit_order_ranges(w), w
+
+    def test_distinct_maximal_edges_mean_full_rank(self):
+        # the triangle lemma the battery relies on to skip the exact rank
+        checked = 0
+        for w in factor_test_words():
+            per_order = {}
+            for root, (lo, hi) in circuit_order_ranges(w).items():
+                for r in range(lo, hi + 1):
+                    per_order.setdefault(r, []).append(_powers(root, r + 1))
+            for edges in per_order.values():
+                if len({max(e) for e in edges}) == len(edges):
+                    checked += 1
+                    assert _edge_rank(edges) == len(edges), w
+        assert checked
 
 
 class TestRealize:
