@@ -19,6 +19,7 @@ from .squares import period_runs
 from .words import (
     NATURAL,
     SymbolOrder,
+    _profile_lrf,
     extremal_rotation,
     factors,
     is_primitive,
@@ -106,12 +107,19 @@ def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
 
     Lemma: at lag h, the windows u = w[t:t+h] at the positions t of the runs
     (s, L) are the ends of direct_order_ranges, so [q] with |q| = h has a
-    circuit iff u -> rot(u) closes on its rotations after exactly h steps;
-    its least vertex is the root. Proof sketch for m: u at t extends to
-    length s+L+h-t, and the window at t+h is u again with a shorter
-    extension, so the first min(L, h) positions of a run give every window
-    its longest one. Windows of a run are rotations of its first, so one
-    primitivity test skips a run.
+    circuit iff u -> rot(u) closes on its rotations after exactly h steps
+    (fewer: u is a power); its least vertex is the root. Proof sketch for m:
+    u at t extends to length s+L+h-t, and the window at t+h is u again with a
+    shorter extension, so the first min(L, h) positions of a run give every
+    window its longest one. Lemma (early stop): a run's loop stops at its
+    first window u at t that gains nothing, as every later window gains
+    nothing either. Proof sketch: the position t' that gave u an extension
+    at least as long starts a stretch of period h that agrees with the one
+    at t, so the window at t+j recurs at t'+j, inside its run, with an
+    extension at least as long. In particular a power u0 = w[s:s+h] of
+    period d | h recurs at s+d with a shorter extension, so its run stops
+    there, and no primitivity test is needed: a power's orbit closes in
+    fewer than h steps.
 
     Lags stop at LRF(w), the length of the longest repeated factor, because
     every small circuit C(q, r) has |q| <= r <= LRF(w). Proof sketch: if
@@ -126,13 +134,12 @@ def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
     for h, lag_runs in enumerate(runs, 1):
         ext: dict[str, int] = {}  # window -> its longest period-h extension
         for s, run_len in lag_runs:
-            if not is_primitive(w[s:s + h]):
-                continue
             end = s + run_len + h
             for t in range(s, s + min(run_len, h)):
                 u = w[t:t + h]
-                if end - t > ext.get(u, 0):
-                    ext[u] = end - t
+                if end - t <= ext.get(u, 0):
+                    break  # see the early-stop lemma
+                ext[u] = end - t
         while len(ext) >= h:  # fewer windows cannot close an orbit of h
             u, m = ext.popitem()
             orbit, v = [u], u[1:] + u[0]
@@ -140,27 +147,32 @@ def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
                 orbit.append(v)
                 m = min(m, ext.pop(v))
                 v = v[1:] + v[0]
-            if v == u:  # every extension is at least h + 1 long
+            if v == u and len(orbit) == h:  # every extension is at least h + 1 long
                 ranges[min(orbit)] = (h, m - 1)
     return ranges
 
 
-def direct_order_ranges(w: str, lrf: int) -> dict[str, tuple[int, int]]:
-    """circuit_order_ranges(w) read off factor tests alone; lrf is LRF(w).
+def direct_order_ranges(w: str, profile: tuple[int, ...]) -> dict[str, tuple[int, int]]:
+    """circuit_order_ranges(w) read off factor tests alone; profile is
+    complexity_profile(w).
 
     Lemma (circuit edges): Gamma_r(w) has the edges L_w(r+1), so C(q, r) exists
     iff r >= |q| and the |q| windows of length r+1 of q^oo occur in w. At
     r = p = |q| they are the edges u.u[0] from u to rot(u) = u[1:] + u[0], u a
     rotation; so [q] has a circuit at order p iff u -> rot(u) stays in
     ends = {w[t:t+p] : w[t] == w[t+p]} and closes after exactly p steps (fewer:
-    u is a power). p ends need p starts t < n - p. Lemma (monotonicity): the
+    u is a power). p ends need p starts t < n - p. Lemma (complexity): the p
+    rotations of a primitive q are distinct factors of length p, so no root of
+    length p exists when C_w(p) < p, and p is skipped. Lemma (monotonicity): the
     windows of length L of q^oo are prefixes of those of length L+1, and
     factors are prefix closed, so the orders form [|q|, M-1], M the largest
     length whose windows all occur (binary search). Lemma (roots <= LRF): every
-    small circuit has |q| <= r <= LRF(w) (see circuit_order_ranges): M <= lrf + 1.
+    small circuit has |q| <= r <= LRF(w) (see circuit_order_ranges): M <= LRF(w)+1.
     """
-    n, ranges = len(w), {}
+    n, lrf, ranges = len(w), _profile_lrf(profile), {}
     for p in range(1, min(lrf, n // 2) + 1):
+        if profile[p] < p:
+            continue
         ends = {w[t:t + p] for t in compress(range(n - p), map(str.__eq__, w, w[p:]))}
         while len(ends) >= p:  # fewer cannot close an orbit of p
             u = ends.pop()

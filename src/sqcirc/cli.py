@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 invariant violation
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .circuits import all_small_circuits, maximal_edge, realize, small_circuits
@@ -144,7 +143,7 @@ def _cmd_check(args, order) -> int:
     analysis = WordAnalysis.of(args.word)
     report, bad = analysis.report, analysis.violations
     if args.json:
-        sys.stdout.write(json.dumps(analysis.document(order), indent=2) + "\n")
+        sys.stdout.write(analysis.json_text(order))
     else:
         sys.stdout.write(analysis.text(order))
         for msg in bad:

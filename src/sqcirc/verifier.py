@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 
 from .circuits import (
     SmallCircuit,
@@ -23,7 +24,6 @@ from .circuits import (
     direct_order_ranges,
     maximal_edge,
     order_counts,
-    realize,
 )
 from .injection import InjectionReport, audit_injection
 from .rauzy import RauzyGraph, build_rauzy
@@ -36,7 +36,14 @@ from .squares import (
     rebuild_from_coordinates,
     square_coordinates,
 )
-from .words import NATURAL, SymbolOrder, _profile_lrf, complexity_profile
+from .words import (
+    NATURAL,
+    SymbolOrder,
+    _profile_lrf,
+    complexity_profile,
+    extremal_rotation,
+    power_to_length,
+)
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -178,7 +185,7 @@ class WordAnalysis:
                                f"do not rebuild {sq.word}")
         if not inj.injective:
             bad.append(f"{w}: injection images collide")
-        ranges = direct_order_ranges(w, _profile_lrf(self.profile))
+        ranges = direct_order_ranges(w, self.profile)
         pairs, found = circuit_pairs(ranges), order_counts(ranges)
         bad.extend(f"{w}: order {r} enumerators disagree ({found.get(r, 0)} direct "
                    f"vs {self.counts.get(r, 0)} batched)"
@@ -197,29 +204,70 @@ class WordAnalysis:
 
     def document(self, order: SymbolOrder) -> dict:
         """The JSON document; see json_document."""
+        return json.loads(self.json_text(order))
+
+    def json_text(self, order: SymbolOrder) -> str:
+        """The JSON document as json.dumps(document, indent=2) renders it, plus
+        a newline; `sqcirc check --json` prints it.
+
+        The circuits are rendered from one block of text per (root q, window
+        length L), L = lo..hi+1 of q's order range: the |q| windows of length
+        L of q^oo in sorted order. C(q, r)'s vertices are the block of length
+        r and its edges the block of length r+1, which C(q, r+1) reuses as its
+        vertices. Lemma (window blocks): for L >= |q| the windows sort as the
+        rotations they start with, so one sort of q's rotations orders every
+        block. Proof sketch: the window at i starts with the rotation at i,
+        and two rotations of a primitive q differ within their |q| letters.
+        Every string of the document is a word over w's letters, so when w
+        needs no JSON escape none does, and a block is joined as it is. The
+        other members are small: json.dumps renders each, and its lines are
+        indented by two spaces, which is safe as no JSON string holds a raw
+        newline.
+        """
         w, report = self.word, self.report
-        return {
-            "word": w, "length": len(w),
-            "alphabet": sorted(set(w), key=order.sort_key),
-            "squares": [{"half": s.half, "word": s.word} for s in sorted(self.squares)],
-            "classes": [{"root": c.root, "index": c.index,
-                         "members": sorted(m.word for m in c.members)}
-                        for c in self.classes],
-            "circuits": [{"root": c.root, "order": c.order,
-                          "vertices": sorted(real.vertices),
-                          "edges": sorted(real.edges),
-                          "maximal_edge": maximal_edge(c, order)}
-                         for c in self.circuits for real in [realize(c)]],
-            "injection": [{"square": sq.word,
-                           "circuit": {"root": circ.root, "order": circ.order}}
-                          for sq, circ in self.injection.assignments],
-            "theorem": {
-                "S": report.square_count_with_empty, "bound": report.bound,
-                "holds": report.holds, "sc_total": report.small_circuit_total,
-                "per_order": [{"r": r, "sc_r": sc_r, "cap": cap}
-                              for r, sc_r, cap in report.per_order_counts],
-            },
-        }
+        if encode_basestring_ascii(w) == f'"{w}"':
+            def block(items):
+                return '"' + '",\n        "'.join(items) + '"'
+        else:
+            def block(items):
+                return ",\n        ".join(map(encode_basestring_ascii, items))
+
+        def members(**values):
+            return ",\n".join(f'  "{key}": ' + json.dumps(v, indent=2).replace("\n", "\n  ")
+                              for key, v in values.items())
+
+        circuits, rotations, blocks = [], {}, {}
+        for r, q in sorted((r, q) for q, r in self.existing):
+            p = len(q)
+            x = power_to_length(q, r + p)  # its windows of length r+1 at 0..p-1
+            if q not in rotations:  # r is q's least order
+                starts = sorted(range(p), key=lambda i: x[i:i + p])
+                rotations[q] = starts, x.find(extremal_rotation(q, order, "greatest"))
+                blocks[q] = block([x[i:i + r] for i in starts])
+            starts, top = rotations[q]
+            vertices, blocks[q] = blocks[q], block([x[i:i + r + 1] for i in starts])
+            circuits += ['\n    {\n      "root": ', encode_basestring_ascii(q),
+                         f',\n      "order": {r},\n      "vertices": [\n        ', vertices,
+                         '\n      ],\n      "edges": [\n        ', blocks[q],
+                         '\n      ],\n      "maximal_edge": ',
+                         encode_basestring_ascii(x[top:top + r + 1]), "\n    }", ","]
+        circuits[-1:] = ["\n  ]" if circuits else "]"]
+        return "".join([
+            "{\n",
+            members(word=w, length=len(w), alphabet=sorted(set(w), key=order.sort_key),
+                    squares=[{"half": s.half, "word": s.word} for s in sorted(self.squares)],
+                    classes=[{"root": c.root, "index": c.index,
+                              "members": sorted(m.word for m in c.members)}
+                             for c in self.classes]),
+            ',\n  "circuits": [', *circuits, ",\n",
+            members(injection=[{"square": sq.word,
+                                "circuit": {"root": circ.root, "order": circ.order}}
+                               for sq, circ in self.injection.assignments],
+                    theorem={"S": report.square_count_with_empty, "bound": report.bound,
+                             "holds": report.holds, "sc_total": report.small_circuit_total,
+                             "per_order": [{"r": r, "sc_r": sc_r, "cap": cap}
+                                           for r, sc_r, cap in report.per_order_counts]}),
+            "\n}\n"])
 
     def text(self, order: SymbolOrder) -> str:
         """The plain-text report printed by `sqcirc check`."""
@@ -394,7 +442,8 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
 
 
 def json_document(w: str, order: SymbolOrder = NATURAL) -> dict:
-    """The machine-readable analysis of one word, with stable field names."""
+    """The machine-readable analysis of one word, with stable field names:
+    WordAnalysis.json_text, the text `sqcirc check --json` prints, parsed."""
     order.check_covers(w)
     return WordAnalysis.of(w).document(order)
 
@@ -422,7 +471,7 @@ def analyze(w: str, emit: str = "report", order: SymbolOrder = NATURAL,
     if emit == "report":
         return WordAnalysis.of(w).text(order)
     if emit == "json":
-        return json.dumps(json_document(w, order), indent=2) + "\n"
+        return WordAnalysis.of(w).json_text(order)
     if emit == "dot":
         if r is None:
             raise ValueError("dot output needs a graph order or 'all'")

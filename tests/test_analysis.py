@@ -162,8 +162,8 @@ class TestBattery:
         WordAnalysis.of.cache_clear()
         original = verifier.direct_order_ranges
         monkeypatch.setattr(verifier, "direct_order_ranges",
-                            lambda w, lrf: edit(original(w, lrf)))
-        assert original("aababa", 3) == {"a": (1, 1), "ab": (2, 3)}
+                            lambda w, profile: edit(original(w, profile)))
+        assert original("aababa", complexity_profile("aababa")) == {"a": (1, 1), "ab": (2, 3)}
 
     # the direct engine finds C(b,1) in place of C(a,1), keeping the count,
     # or finds nothing at order 1

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import sqcirc.circuits as circuits_module
 from sqcirc.circuits import (
     SmallCircuit,
     _edge_rank,
@@ -22,7 +23,7 @@ from sqcirc.circuits import (
     vector_cycle,
 )
 from sqcirc.rauzy import build_rauzy, cyclomatic_number
-from sqcirc.squares import match_runs
+from sqcirc.squares import match_runs, period_runs
 from sqcirc.verifier import canonical_words
 from sqcirc.words import (
     SymbolOrder,
@@ -184,6 +185,25 @@ class TestLagCut:
     def test_long_and_pieced_words_equal_uncut_oracle(self, w):
         assert circuit_order_ranges(w) == ranges_all_lags(w)
 
+    def test_no_primitivity_test(self, monkeypatch):
+        # the early-stop lemma: a run's loop stops at its first window that
+        # gains nothing, and a power's orbit closes in fewer than lag steps
+        w = fibonacci(300)
+        runs = period_runs(w)
+        calls = []
+
+        def counted(u, _original=is_primitive):
+            calls.append(u)
+            return _original(u)
+        for name, module in list(sys.modules.items()):
+            if name == "sqcirc" or name.startswith("sqcirc."):
+                for attr, value in list(vars(module).items()):
+                    if value is is_primitive:
+                        monkeypatch.setattr(module, attr, counted)
+        ranges = circuit_order_ranges(w, runs)
+        assert calls == []
+        assert ranges == ranges_all_lags(w)
+
     def test_no_repeated_factor_no_circuits(self):
         for w in ("a", "abc"):
             assert longest_repeated_factor(w) == 0
@@ -247,8 +267,21 @@ def factor_test_words():
 class TestFactorTestEngine:
     def test_equals_batched_engine(self):
         for w in factor_test_words():
-            assert direct_order_ranges(w, longest_repeated_factor(w)) == \
+            assert direct_order_ranges(w, complexity_profile(w)) == \
                 circuit_order_ranges(w), w
+
+    def test_roots_longer_than_the_complexity_are_skipped(self, monkeypatch):
+        # C_w(p) < p leaves no room for p distinct rotations, so on a unary
+        # word only p = 1 reads its ends off the word
+        calls = []
+
+        def counted(*args, _original=circuits_module.compress):
+            calls.append(args)
+            return _original(*args)
+        monkeypatch.setattr(circuits_module, "compress", counted)
+        w = "a" * 512
+        assert direct_order_ranges(w, complexity_profile(w)) == {"a": (1, 511)}
+        assert len(calls) == 1
 
     def test_distinct_maximal_edges_mean_full_rank(self):
         # the triangle lemma the battery relies on to skip the exact rank

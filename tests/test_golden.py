@@ -44,6 +44,7 @@ def commands(w: str) -> dict[str, list[str]]:
         "check": ["check", w],
         "check-json": ["check", w, "--json"],
         "check-order": ["check", w, "--order", reverse],
+        "check-json-order": ["check", w, "--json", "--order", reverse],
         "classes": ["classes", w],
         "inject": ["inject", w],
         "circuits": ["circuits", w],
@@ -135,6 +136,16 @@ GOLDEN = {
     ('nonascii', 'circuits-n2'): (0, '2d84225160dcf741630b45c0ac8da795225fb7520a72daebfb2d907fc1ac645c'),
     ('nonascii', 'squares'): (0, '2994dc160ac8e5063952393576cfcf7352770e02cb5a26f382a966e10e0952e5'),
     ('nonascii', 'rauzy-dot'): (0, '3461705e7432d1930257ab43c1f5ae127d67b34ecb405ef0a56c5213265f54c9'),
+    # check --json --order pins maximal_edge under a non-natural order
+    ('aababa', 'check-json-order'): (0, '09b1d72b9c66d74330190d34f6b809d40cf661127aaf3b97a6131c39409982da'),
+    ('paper15', 'check-json-order'): (0, 'e06de799e982bc2a11a3deb64dbef363bbb7f519c150632c1bf2820ce895dd6e'),
+    ('paper22', 'check-json-order'): (0, '82a202abd3ce9b8d363e6fea73c5b1ff5a7494453d6e7dba311c6398e2e0179e'),
+    ('abc4', 'check-json-order'): (0, '2aa5c28e9fb61edfc0186fa18500e533125db8b53ef61afe09592df5238b6dba'),
+    ('a', 'check-json-order'): (0, '9a8b1133b877c221dfc326ac8b484961333776254d99020f9c8c96ba4fe3b650'),
+    ('fib64', 'check-json-order'): (0, '43c74ec5eb19fb1208ea562bcb3229410a4e68fa5357341c315a83550b568df8'),
+    ('tm64', 'check-json-order'): (0, 'c76bba96c84d810e8be1272cd262dea7e71acf0d74a67f13d7f48b0dd465a220'),
+    ('unary40', 'check-json-order'): (0, '0b602cde7d37d600ddef37a2013a8591097fc5e752663b5aeaae51daae80a000'),
+    ('nonascii', 'check-json-order'): (0, 'f5a1bfa7d279164e6413fad261876b35ffc58b1b89a748b6c9d2b553ffb78609'),
 }
 
 SEARCHES = {

@@ -1,0 +1,95 @@
+"""The JSON renderer against the document it replaced, byte for byte.
+
+The oracle builds the document as a dict, circuit by circuit with realize
+and maximal_edge, and json.dumps renders it; WordAnalysis.json_text renders
+the circuits from shared window blocks and must give the same text.
+"""
+import json
+import random
+
+import pytest
+
+from sqcirc.circuits import maximal_edge, realize
+from sqcirc.verifier import WordAnalysis, analyze, canonical_words, json_document
+from sqcirc.words import NATURAL, SymbolOrder
+
+
+def oracle_document(a: WordAnalysis, order: SymbolOrder) -> dict:
+    w, report = a.word, a.report
+    return {
+        "word": w, "length": len(w),
+        "alphabet": sorted(set(w), key=order.sort_key),
+        "squares": [{"half": s.half, "word": s.word} for s in sorted(a.squares)],
+        "classes": [{"root": c.root, "index": c.index,
+                     "members": sorted(m.word for m in c.members)}
+                    for c in a.classes],
+        "circuits": [{"root": c.root, "order": c.order,
+                      "vertices": sorted(real.vertices),
+                      "edges": sorted(real.edges),
+                      "maximal_edge": maximal_edge(c, order)}
+                     for c in a.circuits for real in [realize(c)]],
+        "injection": [{"square": sq.word,
+                       "circuit": {"root": circ.root, "order": circ.order}}
+                      for sq, circ in a.injection.assignments],
+        "theorem": {
+            "S": report.square_count_with_empty, "bound": report.bound,
+            "holds": report.holds, "sc_total": report.small_circuit_total,
+            "per_order": [{"r": r, "sc_r": sc_r, "cap": cap}
+                          for r, sc_r, cap in report.per_order_counts],
+        },
+    }
+
+
+def fibonacci(n: int) -> str:
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def thue_morse(n: int) -> str:
+    return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
+
+
+# words whose strings JSON escapes: a quote and a backslash, control
+# characters, letters outside ASCII and outside the BMP
+ESCAPED = ["ñaña", 'a"b\\a"b\\', "a\tb\x01a\tb\x01a\tb", "\U0001d11ea\U0001d11ea"]
+
+GROUPS = {
+    "binary10": lambda: (w for n in range(1, 11) for w in canonical_words(2, n)),
+    "ternary7": lambda: (w for n in range(1, 8) for w in canonical_words(3, n)),
+    "random": lambda: ("".join(rng.choice("abcd"[:rng.randint(1, 4)])
+                               for _ in range(rng.randint(1, 60)))
+                       for rng in [random.Random(90)] for _ in range(100)),
+    "families": lambda: [fibonacci(128), thue_morse(128), "a" * 64, "aababa",
+                         "abaaabaabaaaaba", "baababaababbbabbabbbab"],
+    "escaped": lambda: ESCAPED,
+}
+
+
+def orders(w: str):
+    return NATURAL, SymbolOrder.from_string("".join(sorted(set(w), reverse=True)))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_json_text_equals_oracle(group):
+    for w in GROUPS[group]():
+        a = WordAnalysis.of(w)
+        for order in orders(w):
+            expected = oracle_document(a, order)
+            assert a.json_text(order) == json.dumps(expected, indent=2) + "\n", (w, order)
+            assert a.document(order) == expected, (w, order)
+
+
+def test_one_renderer_behind_every_json_path():
+    for w in ESCAPED + [fibonacci(64)]:
+        for order in orders(w):
+            text = WordAnalysis.of(w).json_text(order)
+            assert analyze(w, "json", order) == text
+            assert json_document(w, order) == json.loads(text)
+
+
+def test_escaped_words_render_escapes():
+    text = WordAnalysis.of('a"b\\a"b\\').json_text(NATURAL)
+    assert '"a\\"b\\\\a\\"b\\\\"' in text
+    assert "\\u00f1" in WordAnalysis.of("ñaña").json_text(NATURAL)
