@@ -224,6 +224,31 @@ def _powers(root: str, length: int) -> frozenset[str]:
     return frozenset(x[i:i + length] for i in range(len(root)))
 
 
+def circuit_blocks(ranges: dict[str, tuple[int, int]], order: SymbolOrder, block):
+    """(root, order, vertices, edges, maximal_edge) of every circuit named by
+    circuit_order_ranges, sorted by (order, root); every circuit listing reads it.
+
+    vertices and edges are block(windows) over C(q, r)'s |q| windows of q^oo of
+    length r and r+1, sorted and passed lazily, so a block that ignores them
+    slices none. block runs once per (q, length): C(q, r)'s edges are C(q, r+1)'s
+    vertices. Lemma (window blocks): for L >= |q| the windows of length L sort as
+    the rotations they start with, so one sort of q's rotations orders every
+    block. Proof sketch: the window at i starts with the rotation at i, and two
+    rotations of a primitive q differ within their |q| letters. The maximal edge
+    is the window at q's greatest rotation under order (see maximal_edge).
+    """
+    roots = {}
+    for r, q in sorted((r, q) for q, (lo, hi) in ranges.items() for r in range(lo, hi + 1)):
+        if q not in roots:  # r is q's least order; x holds q^oo's windows at 0..|q|-1
+            x = power_to_length(q, ranges[q][1] + len(q))
+            starts = sorted(range(len(q)), key=lambda i: x[i:i + len(q)])
+            top = x.find(extremal_rotation(q, order, "greatest"))
+            roots[q] = [x, starts, top, block(x[i:i + r] for i in starts)]
+        x, starts, top, vertices = roots[q]
+        edges = roots[q][3] = block(x[i:i + r + 1] for i in starts)
+        yield q, r, vertices, edges, x[top:top + r + 1]
+
+
 def realize(c: SmallCircuit) -> CircuitRealization:
     """Vertex and edge words of the circuit; both sets have |root| elements."""
     return CircuitRealization(_powers(c.root, c.order), _powers(c.root, c.order + 1))

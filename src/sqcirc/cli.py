@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 
-from .circuits import all_small_circuits, maximal_edge, realize, small_circuits
+from .circuits import circuit_blocks, circuit_order_ranges
 from .injection import build_injection
 from .rauzy import build_rauzy
 from .squares import distinct_squares, square_classes
@@ -118,15 +119,15 @@ def _cmd_rauzy(args, order) -> int:
 
 
 def _cmd_circuits(args, order) -> int:
-    w = args.word
-    circs = (small_circuits(w, args.n) if args.n is not None
-             else all_small_circuits(w))
-    top = {c: maximal_edge(c, order) for c in circs}
-    for c in sorted(circs, key=lambda c: (c.order, order.sort_key(top[c]))):
-        real = realize(c)
-        print(f"{c} vertices={{{', '.join(sorted(real.vertices))}}} "
-              f"edges={{{', '.join(sorted(real.edges))}}} "
-              f"max_edge={top[c]}")
+    w, n = args.word, args.n
+    ranges = circuit_order_ranges(w)
+    if n is not None:
+        if not 1 <= n <= len(w):
+            raise ValueError(f"graph order {n} out of range 1..{len(w)}")
+        ranges = {q: (n, n) for q, (lo, hi) in ranges.items() if lo <= n <= hi}
+    for r, row in groupby(circuit_blocks(ranges, order, ", ".join), key=lambda c: c[1]):
+        for q, _, vertices, edges, top in sorted(row, key=lambda c: order.sort_key(c[4])):
+            print(f"C({q},{r}) vertices={{{vertices}}} edges={{{edges}}} max_edge={top}")
     return OK
 
 

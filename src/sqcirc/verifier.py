@@ -15,14 +15,12 @@ from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 from .circuits import (
-    SmallCircuit,
-    _canonical_circuit,
     _edge_rank,
     _powers,
+    circuit_blocks,
     circuit_order_ranges,
     circuit_pairs,
     direct_order_ranges,
-    maximal_edge,
     order_counts,
 )
 from .injection import InjectionReport, audit_injection
@@ -41,8 +39,6 @@ from .words import (
     SymbolOrder,
     _profile_lrf,
     complexity_profile,
-    extremal_rotation,
-    power_to_length,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -109,8 +105,9 @@ class WordAnalysis:
 
     Squares and circuit order ranges (both read off one period_runs scan)
     and the complexity profile are computed up front; they are all the
-    theorem report needs. Classes, the injection, the circuit objects and
-    the invariant battery are computed on first use.
+    theorem report needs. Classes, the injection and the invariant battery
+    are computed on first use; the reports list the circuits through
+    circuit_blocks.
     """
 
     word: str
@@ -139,12 +136,6 @@ class WordAnalysis:
     @_lazy
     def classes(self) -> list[SquareClass]:
         return group_classes(self.squares)
-
-    @_lazy
-    def circuits(self) -> list[SmallCircuit]:
-        """The small circuits sorted by (order, root), for rendering."""
-        return sorted((_canonical_circuit(root, r) for root, r in self.existing),
-                      key=lambda c: (c.order, c.root))
 
     @_lazy
     def injection(self) -> InjectionReport:
@@ -210,19 +201,12 @@ class WordAnalysis:
         """The JSON document as json.dumps(document, indent=2) renders it, plus
         a newline; `sqcirc check --json` prints it.
 
-        The circuits are rendered from one block of text per (root q, window
-        length L), L = lo..hi+1 of q's order range: the |q| windows of length
-        L of q^oo in sorted order. C(q, r)'s vertices are the block of length
-        r and its edges the block of length r+1, which C(q, r+1) reuses as its
-        vertices. Lemma (window blocks): for L >= |q| the windows sort as the
-        rotations they start with, so one sort of q's rotations orders every
-        block. Proof sketch: the window at i starts with the rotation at i,
-        and two rotations of a primitive q differ within their |q| letters.
-        Every string of the document is a word over w's letters, so when w
-        needs no JSON escape none does, and a block is joined as it is. The
-        other members are small: json.dumps renders each, and its lines are
-        indented by two spaces, which is safe as no JSON string holds a raw
-        newline.
+        The circuits come from circuit_blocks, one joined block of windows per
+        (root, length). Every string of the document is a word over w's
+        letters, so when w needs no JSON escape none does, and a block is
+        joined as it is. The other members are small: json.dumps renders each,
+        and its lines are indented by two spaces, which is safe as no JSON
+        string holds a raw newline.
         """
         w, report = self.word, self.report
         if encode_basestring_ascii(w) == f'"{w}"':
@@ -236,21 +220,13 @@ class WordAnalysis:
             return ",\n".join(f'  "{key}": ' + json.dumps(v, indent=2).replace("\n", "\n  ")
                               for key, v in values.items())
 
-        circuits, rotations, blocks = [], {}, {}
-        for r, q in sorted((r, q) for q, r in self.existing):
-            p = len(q)
-            x = power_to_length(q, r + p)  # its windows of length r+1 at 0..p-1
-            if q not in rotations:  # r is q's least order
-                starts = sorted(range(p), key=lambda i: x[i:i + p])
-                rotations[q] = starts, x.find(extremal_rotation(q, order, "greatest"))
-                blocks[q] = block([x[i:i + r] for i in starts])
-            starts, top = rotations[q]
-            vertices, blocks[q] = blocks[q], block([x[i:i + r + 1] for i in starts])
+        circuits = []
+        for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, block):
             circuits += ['\n    {\n      "root": ', encode_basestring_ascii(q),
                          f',\n      "order": {r},\n      "vertices": [\n        ', vertices,
-                         '\n      ],\n      "edges": [\n        ', blocks[q],
+                         '\n      ],\n      "edges": [\n        ', edges,
                          '\n      ],\n      "maximal_edge": ',
-                         encode_basestring_ascii(x[top:top + r + 1]), "\n    }", ","]
+                         encode_basestring_ascii(top), "\n    }", ","]
         circuits[-1:] = ["\n  ]" if circuits else "]"]
         return "".join([
             "{\n",
@@ -277,10 +253,11 @@ class WordAnalysis:
                    + ", ".join(s.word for s in sorted(self.squares)))
         out.append("classes:")
         out.extend("  " + row for row in class_table(self.classes))
-        out.append(f"small circuits ({len(self.circuits)}):")
-        for r, row in groupby(self.circuits, key=lambda c: c.order):
-            out.append(f"  r={r}: " + ", ".join(f"{c} max_edge={maximal_edge(c, order)}"
-                                                for c in row))
+        out.append(f"small circuits ({report.small_circuit_total}):")
+        for r, row in groupby(circuit_blocks(self.ranges, order, lambda _: None),
+                              key=lambda c: c[1]):
+            out.append(f"  r={r}: " + ", ".join(f"C({q},{r}) max_edge={top}"
+                                                for q, _, _, _, top in row))
         out.append("injection:")
         out.extend(f"  {sq.word} -> {circ}" for sq, circ in injection.assignments)
         out.append(f"  injective: {injection.injective}, "
@@ -394,10 +371,6 @@ def _sweep_lengths(alphabet_size: int, lengths, prefix: str = ""):
     return checked, violations, best, witnesses
 
 
-def _search_unit(args):
-    return _sweep_lengths(*args)
-
-
 def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
                       max_words: int = 2_000_000) -> SearchSummary:
     """Verify every canonical word up to max_len; aggregate the results.
@@ -420,21 +393,17 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
                   for p in canonical_words(alphabet_size, depth)]
         jobs = min(jobs, os.cpu_count() or 1, len(units))
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_search_unit, units)
-    checked = 0
-    violations: list[str] = []
+            parts = pool.starmap(_sweep_lengths, units)
     best: dict[int, int] = {}
     witnesses: dict[int, list[str]] = {}
-    for part_checked, part_violations, part_best, part_wit in parts:
-        checked += part_checked
-        violations.extend(part_violations)
+    for _, _, part_best, part_wit in parts:
         for n, v in part_best.items():
             _offer(best, witnesses, n, v, part_wit[n])
     return SearchSummary(
         alphabet_size=alphabet_size,
         max_len=max_len,
-        words_checked=checked,
-        violations=tuple(sorted(violations)),
+        words_checked=sum(part[0] for part in parts),
+        violations=tuple(sorted(v for part in parts for v in part[1])),
         max_nonempty_squares_per_length=tuple(sorted(best.items())),
         extremal_witnesses=tuple((n, tuple(sorted(ws)))
                                  for n, ws in sorted(witnesses.items())),
@@ -491,9 +460,13 @@ def corpus_analyze(path: str, mode: str = "per-line",
     if mode not in ("per-line", "whole"):
         raise ValueError(f"unknown corpus mode {mode!r}")
     with open(path, "rb") as fh:
-        if mode == "whole":
-            whole = fh.read().removesuffix(b"\n")
-            units = [(whole, len(whole))]
+        if mode == "whole":  # cap + 2 bytes kept, the rest counted in chunks
+            head = fh.read(max(max_unit_len, 0) + 2)
+            size, last = len(head), head[-1:]
+            while chunk := fh.read(1 << 16):
+                size, last = size + len(chunk), chunk[-1:]
+            size -= last == b"\n"
+            units = [(head[:size], size)]
         else:
             units = _capped_lines(fh, max_unit_len)
         for i, (unit, size) in enumerate(units, 1):

@@ -43,17 +43,22 @@ def count_calls(monkeypatch, *functions) -> Counter:
     """Count calls to the functions under every name that the package binds
     them to, so a second call from any module shows."""
     counts = Counter()
-    modules = [m for name, m in sys.modules.items()
-               if name == "sqcirc" or name.startswith("sqcirc.")]
     for original in functions:
         def counted(w, *rest, _name=original.__name__, _original=original):
             counts[_name] += 1
             return _original(w, *rest)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+        replace_everywhere(monkeypatch, original, counted)
     return counts
+
+
+def replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Bind replacement wherever a sqcirc module binds original."""
+    modules = [m for name, m in sys.modules.items()
+               if name == "sqcirc" or name.startswith("sqcirc.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.fixture
@@ -93,13 +98,22 @@ class TestOncePerWord:
                                            ("circuits", EXAMPLE_22 * 3)],
                              ids=["check-fib300", "circuits-example22x3"])
     def test_one_maximal_edge_per_circuit(self, monkeypatch, capsys, command, w):
-        # the report takes each circuit's maximal edge once; the battery
-        # reads it off the circuit's edge set
+        # the listing finds each root's greatest rotation once and reads every
+        # maximal edge off it; the battery reads them off the edge sets
         WordAnalysis.of.cache_clear()
         counts = count_calls(monkeypatch, circuits.maximal_edge)
+        greatest, extremal = Counter(), words.extremal_rotation
+
+        def counted(q, *args, **kwargs):
+            if "greatest" in (*args, kwargs.get("direction")):
+                greatest[q] += 1
+            return extremal(q, *args, **kwargs)
+        replace_everywhere(monkeypatch, extremal, counted)
         assert main([command, w]) == 0
         capsys.readouterr()
-        assert counts["maximal_edge"] == len(all_small_circuits(w))
+        assert counts["maximal_edge"] == 0
+        assert greatest and set(greatest) <= {c.root for c in all_small_circuits(w)}
+        assert max(greatest.values()) == 1
 
     def test_one_least_rotation_per_class(self, monkeypatch, capsys):
         # group_classes names each class once, and inject_class names its
@@ -223,7 +237,6 @@ class TestFieldsMatchStandaloneFunctions:
         assert a.classes == square_classes(w)
         assert a.counts == circuit_counts_by_order(w)
         assert a.existing == {(c.root, c.order) for c in circuits}
-        assert a.circuits == sorted(circuits, key=lambda c: (c.order, c.root))
         assert a.injection == build_injection(w)
         assert a.report == theorem_check(w)
         assert list(a.violations) == verify_word(w) == []

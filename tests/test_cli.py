@@ -81,6 +81,18 @@ class TestCircuits:
         assert code == 1
         assert "missing" in err
 
+    def test_empty_word_lists_nothing(self, capsys):
+        assert run(capsys, "circuits", "") == (0, "", "")
+
+    @pytest.mark.parametrize("w,n,top", [("", "1", 0), ("aababa", "0", 6)])
+    def test_order_out_of_range(self, capsys, w, n, top):
+        code, out, err = run(capsys, "circuits", w, "--n", n)
+        assert (code, out) == (1, "")
+        assert err == f"sqcirc: error: graph order {n} out of range 1..{top}\n"
+
+    def test_order_above_longest_repeated_factor(self, capsys):
+        assert run(capsys, "circuits", "aababa", "--n", "6") == (0, "", "")
+
 
 class TestInject:
     def test_mapping(self, capsys):

@@ -49,6 +49,7 @@ def commands(w: str) -> dict[str, list[str]]:
         "inject": ["inject", w],
         "circuits": ["circuits", w],
         "circuits-n2": ["circuits", w, "--n", "2"],
+        "circuits-order": ["circuits", w, "--order", reverse],
         "squares": ["squares", w],
         "rauzy-dot": ["rauzy", w, "--n", "all", "--dot"],
     }
@@ -146,6 +147,16 @@ GOLDEN = {
     ('tm64', 'check-json-order'): (0, 'c76bba96c84d810e8be1272cd262dea7e71acf0d74a67f13d7f48b0dd465a220'),
     ('unary40', 'check-json-order'): (0, '0b602cde7d37d600ddef37a2013a8591097fc5e752663b5aeaae51daae80a000'),
     ('nonascii', 'check-json-order'): (0, 'f5a1bfa7d279164e6413fad261876b35ffc58b1b89a748b6c9d2b553ffb78609'),
+    # circuits --order sorts each order's circuits by maximal edge under it
+    ('aababa', 'circuits-order'): (0, 'c62a76a5e9916f3e0369b9249bfa319b31be2468ab17a91752bc5cea4f89a531'),
+    ('paper15', 'circuits-order'): (0, '93d377b925f48ccb2f214be03dcc97b7477d70cdd85099b4ba1e23e724060336'),
+    ('paper22', 'circuits-order'): (0, 'c791e8b591afd10e53099b2c1cb380e4a95fd936ccdb3df13477445459204cd2'),
+    ('abc4', 'circuits-order'): (0, 'c934c68458f5612662cd24ec072aa1c191d5c7af597ebeb582743c2823ad41c3'),
+    ('a', 'circuits-order'): (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('fib64', 'circuits-order'): (0, '5282e8630c6b78dbbda8c89eaca94e3588717f5251dc4cabeec5ffd26e27b451'),
+    ('tm64', 'circuits-order'): (0, 'bf86b7636f9b9b439747e0d7ba8d0e2ca5df923fdc06ccb1f834fd8b6c83ae81'),
+    ('unary40', 'circuits-order'): (0, 'da464e0470571565c064a51cc45f1cecbf60ccace5ff0ad42e2085a93d1936c2'),
+    ('nonascii', 'circuits-order'): (0, '42c08bb93d567b7bfc6b83ffcf6831b6e4af1335bd8a2c61c1804af54ffc6adc'),
 }
 
 SEARCHES = {

@@ -1,15 +1,16 @@
 """The JSON renderer against the document it replaced, byte for byte.
 
-The oracle builds the document as a dict, circuit by circuit with realize
-and maximal_edge, and json.dumps renders it; WordAnalysis.json_text renders
-the circuits from shared window blocks and must give the same text.
+The oracle builds the document as a dict, circuit by circuit from
+all_small_circuits with realize and maximal_edge, and json.dumps renders it;
+WordAnalysis.json_text renders the circuits from circuits.circuit_blocks'
+shared window blocks and must give the same text.
 """
 import json
 import random
 
 import pytest
 
-from sqcirc.circuits import maximal_edge, realize
+from sqcirc.circuits import all_small_circuits, maximal_edge, realize
 from sqcirc.verifier import WordAnalysis, analyze, canonical_words, json_document
 from sqcirc.words import NATURAL, SymbolOrder
 
@@ -27,7 +28,8 @@ def oracle_document(a: WordAnalysis, order: SymbolOrder) -> dict:
                       "vertices": sorted(real.vertices),
                       "edges": sorted(real.edges),
                       "maximal_edge": maximal_edge(c, order)}
-                     for c in a.circuits for real in [realize(c)]],
+                     for c in sorted(all_small_circuits(w), key=lambda c: (c.order, c.root))
+                     for real in [realize(c)]],
         "injection": [{"square": sq.word,
                        "circuit": {"root": circ.root, "order": circ.order}}
                       for sq, circ in a.injection.assignments],

@@ -141,8 +141,8 @@ class TestExhaustiveSearch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, units):
-                return list(map(fn, units))
+            def starmap(self, fn, units):
+                return [fn(*unit) for unit in units]
 
         monkeypatch.setattr(verifier.multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
@@ -333,6 +333,36 @@ class TestCorpus:
             tracemalloc.stop()
         assert str(exc.value) == "unit 2 has 3000000 bytes, cap is 1024"
         assert peak < 512 * 1024
+
+    def test_over_cap_whole_file_is_counted_in_bounded_memory(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_bytes(b"ab\n" + b"a" * 3_000_000 + b"\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorpusError) as exc:
+                list(corpus_analyze(str(path), "whole", max_unit_len=1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "unit 1 has 3000003 bytes, cap is 1024"
+        assert peak < 1024 * 1024
+
+    @pytest.mark.parametrize("data, word", [
+        (b"ab\r\n", "ab\r"), (b"aababa\n", "aababa"), (b"aababa", "aababa"),
+        (b"ab\n\n", "ab\n"), (b"\n", None), (b"a" * 8 + b"\n", "a" * 8)])
+    def test_whole_mode_drops_one_trailing_newline(self, tmp_path, data, word):
+        path = tmp_path / "whole.txt"
+        path.write_bytes(data)
+        reports = corpus_analyze(str(path), "whole", max_unit_len=8)
+        assert [r.word for r in reports] == ([word] if word else [])
+
+    def test_whole_mode_cap_counts_past_what_it_keeps(self, tmp_path):
+        path = tmp_path / "whole.txt"
+        for data, size in [(b"a" * 9, 9), (b"a" * 9 + b"\n", 9), (b"a" * 70_000, 70_000)]:
+            path.write_bytes(data)
+            with pytest.raises(CorpusError) as exc:
+                list(corpus_analyze(str(path), "whole", max_unit_len=8))
+            assert str(exc.value) == f"unit 1 has {size} bytes, cap is 8"
 
     @pytest.mark.parametrize("cap, line", [
         (4, b"abcd\r\r\r\r\r\n"), (4, b"abcd\r\r"), (4, b"abcd\r"), (4, b"abcde\r"),
