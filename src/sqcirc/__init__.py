@@ -14,7 +14,6 @@ from .circuits import (
     cao_less,
     circuit_counts_by_order,
     circuit_order_ranges,
-    elementary_cycles_oracle,
     independence_rank,
     maximal_edge,
     realize,
@@ -81,9 +80,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CircuitRealization", "SmallCircuit", "all_small_circuits", "cao_less",
-    "circuit_counts_by_order", "circuit_order_ranges",
-    "elementary_cycles_oracle", "independence_rank", "maximal_edge",
-    "realize", "small_circuits", "vector_cycle",
+    "circuit_counts_by_order", "circuit_order_ranges", "independence_rank",
+    "maximal_edge", "realize", "small_circuits", "vector_cycle",
     "InjectionReport", "build_injection", "inject_class",
     "RauzyEdge", "RauzyGraph", "VectorCycle", "build_rauzy",
     "cyclomatic_number", "is_weakly_connected",

@@ -5,14 +5,12 @@ small circuit is determined up to conjugacy by a primitive word q with
 |q| <= r: its vertices are the powers p^{r/|p|} and its edges the powers
 p^{(r+1)/|p|} over the rotations p of q. Enumeration therefore goes through
 edge periodicity instead of graph search; the graph search survives only as
-the cross-check oracle.
+the cross-check oracle in tests/oracles.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-
-import networkx as nx
 
 from .rauzy import RauzyGraph, VectorCycle
 from .squares import period_runs
@@ -322,25 +320,3 @@ def independence_rank(w: str, r: int) -> int:
     """Exact rank of the circuits' edge-indicator vectors in Gamma_r(w)."""
     return _edge_rank([_powers(c.root, r + 1) for c in small_circuits(w, r)])
 
-
-def elementary_cycles_oracle(g: RauzyGraph, max_size: int,
-                             max_cycles: int = 1_000_000) -> frozenset[frozenset[str]]:
-    """All elementary circuits of g with at most max_size vertices.
-
-    Exhaustive simple-cycle search, used only to cross-check the periodicity
-    enumeration. Cycles come back as edge-label sets; the label of an edge
-    u -> v is u plus the last symbol of v.
-    """
-    dg = nx.DiGraph()
-    dg.add_nodes_from(g.vertices)
-    for e in g.edges:
-        dg.add_edge(e.src, e.dst)
-    out = set()
-    count = 0
-    for cyc in nx.simple_cycles(dg, length_bound=max_size):
-        count += 1
-        if count > max_cycles:
-            raise RuntimeError(f"cycle enumeration exceeded {max_cycles} cycles")
-        out.add(frozenset(cyc[k] + cyc[(k + 1) % len(cyc)][-1]
-                          for k in range(len(cyc))))
-    return frozenset(out)

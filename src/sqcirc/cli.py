@@ -88,6 +88,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()  # static, and each build costs milliseconds
+
+
 def _order_of(args) -> SymbolOrder:
     return SymbolOrder.from_string(args.order) if args.order else NATURAL
 
@@ -208,9 +211,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         order = _order_of(args)
         if hasattr(args, "word"):
             order.check_covers(args.word)

@@ -74,13 +74,6 @@ def match_runs(w: str, lag: int, _wb: bytes | None = None) -> list[tuple[int, in
     return runs
 
 
-def _squares_scan(w: str) -> set[str]:
-    # test oracle for distinct_squares: try every start and half length
-    n = len(w)
-    return {w[i:i + 2 * h] for h in range(1, n // 2 + 1) for i in range(n - 2 * h + 1)
-            if w[i:i + h] == w[i + h:i + 2 * h]}
-
-
 def period_runs(w: str, lrf: int | None = None) -> list[list[tuple[int, int]]]:
     """[match_runs(w, lag) for lag in 1..LRF(w)], from one encoding of w.
 

@@ -377,21 +377,22 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
 
     The word space is partitioned by canonical prefixes into independent
     units, so the sweep parallelizes without shared state. The pool gets
-    min(jobs, CPU count, units) processes; jobs <= 1 runs in this process.
+    min(jobs, CPU count, units) processes; when that is at most 1, the sweep
+    runs in this process.
     """
     if alphabet_size < 1 or max_len < 1:
         raise ValueError("alphabet size and maximum length must be positive")
     total = sum(canonical_count(alphabet_size, n) for n in range(1, max_len + 1))
     if total > max_words:
         raise ValueError(f"search space {total} exceeds the {max_words} word budget")
+    depth = min(max_len, 6)  # one unit below depth, one per canonical prefix at it
+    jobs = min(jobs, os.cpu_count() or 1, 1 + canonical_count(alphabet_size, depth))
     if jobs <= 1:
         parts = [_sweep_lengths(alphabet_size, range(1, max_len + 1))]
     else:
-        depth = min(max_len, 6)
         units = [(alphabet_size, range(1, depth))]
         units += [(alphabet_size, range(depth, max_len + 1), p)
                   for p in canonical_words(alphabet_size, depth)]
-        jobs = min(jobs, os.cpu_count() or 1, len(units))
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.starmap(_sweep_lengths, units)
     best: dict[int, int] = {}

@@ -1,0 +1,92 @@
+"""Test oracles and word families shared by the test modules.
+
+The oracles are independent, deliberately naive engines that the package's
+production engines are cross-checked against; they live here so that the
+package itself has no runtime dependency. Import them with
+`from oracles import ...`: pytest puts tests/ on sys.path.
+"""
+import sys
+
+import networkx as nx
+
+
+def elementary_cycles_oracle(g, max_size: int,
+                             max_cycles: int = 1_000_000) -> frozenset[frozenset[str]]:
+    """All elementary circuits of the Rauzy graph g with at most max_size
+    vertices.
+
+    Exhaustive simple-cycle search, used only to cross-check the periodicity
+    enumeration. Cycles come back as edge-label sets; the label of an edge
+    u -> v is u plus the last symbol of v.
+    """
+    dg = nx.DiGraph()
+    dg.add_nodes_from(g.vertices)
+    for e in g.edges:
+        dg.add_edge(e.src, e.dst)
+    out = set()
+    count = 0
+    for cyc in nx.simple_cycles(dg, length_bound=max_size):
+        count += 1
+        if count > max_cycles:
+            raise RuntimeError(f"cycle enumeration exceeded {max_cycles} cycles")
+        out.add(frozenset(cyc[k] + cyc[(k + 1) % len(cyc)][-1]
+                          for k in range(len(cyc))))
+    return frozenset(out)
+
+
+def squares_scan(w: str) -> set[str]:
+    """The distinct nonempty squares of w: try every start and half length."""
+    n = len(w)
+    return {w[i:i + 2 * h] for h in range(1, n // 2 + 1) for i in range(n - 2 * h + 1)
+            if w[i:i + h] == w[i + h:i + 2 * h]}
+
+
+def fibonacci(n: int) -> str:
+    """The prefix of length n of the Fibonacci word abaababa..."""
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def thue_morse(n: int) -> str:
+    """The prefix of length n of the Thue-Morse word abbabaab..."""
+    return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
+
+
+def random_word(rng, letters: str, lo: int, hi: int) -> str:
+    """A word over letters whose length is drawn from lo..hi."""
+    return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+
+def word_with_periods(n: int, k: int, l: int, rng) -> str:
+    """Random binary word of length n having periods k and l by construction."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p in (k, l):
+        for i in range(n - p):
+            parent[find(i)] = find(i + p)
+    letters = {}
+    out = []
+    for i in range(n):
+        root = find(i)
+        if root not in letters:
+            letters[root] = rng.choice("ab")
+        out.append(letters[root])
+    return "".join(out)
+
+
+def replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Bind replacement wherever a sqcirc module binds original."""
+    modules = [m for name, m in sys.modules.items()
+               if name == "sqcirc" or name.startswith("sqcirc.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)

@@ -14,7 +14,6 @@ import pytest
 from sqcirc.circuits import (
     SmallCircuit,
     all_small_circuits,
-    elementary_cycles_oracle,
     independence_rank,
     maximal_edge,
     realize,
@@ -28,7 +27,6 @@ from sqcirc.squares import (
     rebuild_from_coordinates,
     square_classes,
     square_coordinates,
-    _squares_scan,
 )
 from sqcirc.verifier import canonical_count, canonical_words, exhaustive_search, theorem_check
 from sqcirc.words import (
@@ -40,6 +38,8 @@ from sqcirc.words import (
     has_period,
     is_primitive,
 )
+
+from oracles import elementary_cycles_oracle, squares_scan, word_with_periods
 
 B_BEFORE_A = SymbolOrder.from_string("ba")
 WORD_U = "aababa"
@@ -185,7 +185,7 @@ def test_criterion_7_property_suites(capsys):
             l = rng.randint(2, 11)
             g = math.gcd(k, l)
             n = k + l - g + rng.randint(0, 4)
-            w = _word_with_periods(n, k, l, rng)
+            w = word_with_periods(n, k, l, rng)
             assert has_period(w, k) and has_period(w, l) and has_period(w, g)
 
         for _ in range(10_000):
@@ -227,7 +227,7 @@ def test_criterion_8_unary_closed_form(capsys):
             w = "a" * n
             squares = {s.word for s in distinct_squares(w)}
             assert len(squares) == n // 2
-            assert squares == _squares_scan(w)
+            assert squares == squares_scan(w)
             assert squares == {"a" * (2 * k) for k in range(1, n // 2 + 1)}
             for r in range(1, n + 1):
                 circ = small_circuits(w, r)
@@ -247,24 +247,3 @@ def _roundtrip_squares(w):
             co = square_coordinates(sq, cls)
             assert rebuild_from_coordinates(cls.root, co) == sq.word
 
-
-def _word_with_periods(n, k, l, rng):
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p in (k, l):
-        for i in range(n - p):
-            parent[find(i)] = find(i + p)
-    letters = {}
-    out = []
-    for i in range(n):
-        root = find(i)
-        if root not in letters:
-            letters[root] = rng.choice("ab")
-        out.append(letters[root])
-    return "".join(out)

@@ -1,7 +1,6 @@
 """WordAnalysis: each word is analyzed once, and every field matches the
 standalone function that computes the same quantity."""
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -29,14 +28,9 @@ from sqcirc.verifier import (
 )
 from sqcirc.words import complexity_profile, longest_repeated_factor
 
+from oracles import fibonacci, replace_everywhere
+
 EXAMPLE_22 = "baababaababbbabbabbbab"
-
-
-def fibonacci(n):
-    f = ["a", "ab"]
-    while len(f[-1]) < n:
-        f.append(f[-1] + f[-2])
-    return f[-1][:n]
 
 
 def count_calls(monkeypatch, *functions) -> Counter:
@@ -49,16 +43,6 @@ def count_calls(monkeypatch, *functions) -> Counter:
             return _original(w, *rest)
         replace_everywhere(monkeypatch, original, counted)
     return counts
-
-
-def replace_everywhere(monkeypatch, original, replacement) -> None:
-    """Bind replacement wherever a sqcirc module binds original."""
-    modules = [m for name, m in sys.modules.items()
-               if name == "sqcirc" or name.startswith("sqcirc.")]
-    for module in modules:
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.fixture

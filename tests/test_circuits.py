@@ -1,6 +1,5 @@
 """Unit tests for small-circuit enumeration and arrangement."""
 import random
-import sys
 
 import pytest
 
@@ -14,7 +13,6 @@ from sqcirc.circuits import (
     circuit_counts_by_order,
     circuit_order_ranges,
     direct_order_ranges,
-    elementary_cycles_oracle,
     independence_rank,
     maximal_edge,
     order_counts,
@@ -37,24 +35,17 @@ from sqcirc.words import (
     power_to_length,
 )
 
+from oracles import (
+    elementary_cycles_oracle,
+    fibonacci,
+    random_word,
+    replace_everywhere,
+    thue_morse,
+)
+
 B_BEFORE_A = SymbolOrder.from_string("ba")
 # carries three nested circuits over aab, aaab, aaaab at order five
 NEST_WORD = "abaaabaabaaaaba"
-
-
-def random_word(rng, letters="ab", lo=1, hi=20):
-    return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
-
-
-def fibonacci(n):
-    f = ["a", "ab"]
-    while len(f[-1]) < n:
-        f.append(f[-1] + f[-2])
-    return f[-1][:n]
-
-
-def thue_morse(n):
-    return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
 
 
 def small_canonical_words():
@@ -119,7 +110,7 @@ class TestAllSmallCircuits:
     def test_agrees_with_per_order_enumeration(self):
         rng = random.Random(41)
         for _ in range(150):
-            w = random_word(rng, "abc")
+            w = random_word(rng, "abc", 1, 20)
             direct = frozenset(c for r in range(1, len(w) + 1)
                                for c in small_circuits(w, r))
             assert all_small_circuits(w) == direct
@@ -127,7 +118,7 @@ class TestAllSmallCircuits:
     def test_order_ranges_are_contiguous_floors(self):
         rng = random.Random(42)
         for _ in range(150):
-            w = random_word(rng)
+            w = random_word(rng, "ab", 1, 20)
             for root, (lo, hi) in circuit_order_ranges(w).items():
                 assert lo == len(root) <= hi
                 assert SmallCircuit(root, lo) in small_circuits(w, lo)
@@ -195,11 +186,7 @@ class TestLagCut:
         def counted(u, _original=is_primitive):
             calls.append(u)
             return _original(u)
-        for name, module in list(sys.modules.items()):
-            if name == "sqcirc" or name.startswith("sqcirc."):
-                for attr, value in list(vars(module).items()):
-                    if value is is_primitive:
-                        monkeypatch.setattr(module, attr, counted)
+        replace_everywhere(monkeypatch, is_primitive, counted)
         ranges = circuit_order_ranges(w, runs)
         assert calls == []
         assert ranges == ranges_all_lags(w)
@@ -240,11 +227,7 @@ class TestDirectEnumerator:
         def counted(w, _original=least_rotation):
             calls.append(w)
             return _original(w)
-        for name, module in list(sys.modules.items()):
-            if name == "sqcirc" or name.startswith("sqcirc."):
-                for attr, value in list(vars(module).items()):
-                    if value is least_rotation:
-                        monkeypatch.setattr(module, attr, counted)
+        replace_everywhere(monkeypatch, least_rotation, counted)
         w = fibonacci(300)
         counts = order_counts(circuit_order_ranges(w))
         per_order = {r: len(small_circuits(w, r)) for r in counts}
@@ -324,7 +307,7 @@ class TestRealize:
     def test_cardinality_equals_root_length(self):
         rng = random.Random(43)
         for _ in range(150):
-            w = random_word(rng, "abc")
+            w = random_word(rng, "abc", 1, 20)
             for c in all_small_circuits(w):
                 real = realize(c)
                 assert len(real.vertices) == len(real.edges) == len(c.root)
@@ -347,7 +330,7 @@ class TestMaximalEdge:
         rng = random.Random(44)
         for order in (None, B_BEFORE_A):
             for _ in range(100):
-                w = random_word(rng)
+                w = random_word(rng, "ab", 1, 20)
                 for c in all_small_circuits(w):
                     edges = realize(c).edges
                     if order is None:
@@ -363,7 +346,7 @@ class TestMaximalEdge:
     def test_distinct_across_circuits_of_one_graph(self):
         rng = random.Random(45)
         for _ in range(150):
-            w = random_word(rng, "abc")
+            w = random_word(rng, "abc", 1, 20)
             for r in range(1, len(w) + 1):
                 tops = [maximal_edge(c) for c in small_circuits(w, r)]
                 assert len(tops) == len(set(tops))
@@ -405,7 +388,7 @@ class TestVectorCycle:
     def test_support_size_is_root_length(self):
         rng = random.Random(46)
         for _ in range(100):
-            w = random_word(rng)
+            w = random_word(rng, "ab", 1, 20)
             for r in range(1, len(w) + 1):
                 g = build_rauzy(w, r)
                 for c in small_circuits(w, r):
@@ -434,7 +417,7 @@ class TestIndependenceRank:
     def test_equals_circuit_count(self):
         rng = random.Random(47)
         for _ in range(150):
-            w = random_word(rng, "abc")
+            w = random_word(rng, "abc", 1, 20)
             for r in range(1, len(w) + 1):
                 assert independence_rank(w, r) == len(small_circuits(w, r))
 

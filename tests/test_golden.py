@@ -13,16 +13,7 @@ import pytest
 
 from sqcirc.cli import main
 
-
-def fibonacci(n: int) -> str:
-    a, b = "a", "ab"
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
-
-
-def thue_morse(n: int) -> str:
-    return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
+from oracles import fibonacci, thue_morse
 
 
 WORDS = {

@@ -14,6 +14,8 @@ from sqcirc.circuits import all_small_circuits, maximal_edge, realize
 from sqcirc.verifier import WordAnalysis, analyze, canonical_words, json_document
 from sqcirc.words import NATURAL, SymbolOrder
 
+from oracles import fibonacci, thue_morse
+
 
 def oracle_document(a: WordAnalysis, order: SymbolOrder) -> dict:
     w, report = a.word, a.report
@@ -40,17 +42,6 @@ def oracle_document(a: WordAnalysis, order: SymbolOrder) -> dict:
                           for r, sc_r, cap in report.per_order_counts],
         },
     }
-
-
-def fibonacci(n: int) -> str:
-    a, b = "a", "ab"
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
-
-
-def thue_morse(n: int) -> str:
-    return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
 
 
 # words whose strings JSON escapes: a quote and a backslash, control

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sqcirc.circuits import _int_rank, elementary_cycles_oracle, independence_rank
+from sqcirc.circuits import _int_rank, independence_rank
 from sqcirc.rauzy import (
     RauzyEdge,
     RauzyGraph,
@@ -14,6 +14,8 @@ from sqcirc.rauzy import (
     is_weakly_connected,
 )
 from sqcirc.words import complexity_profile
+
+from oracles import elementary_cycles_oracle
 
 # carries three nested circuits over aab, aaab, aaaab at order five
 NEST_WORD = "abaaabaabaaaaba"

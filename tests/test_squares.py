@@ -14,28 +14,18 @@ from sqcirc.squares import (
     square_classes,
     square_coordinates,
     _encode,
-    _squares_scan,
 )
 from sqcirc.circuits import circuit_order_ranges
 from sqcirc.verifier import canonical_words
 from sqcirc.words import conjugacy_class, factors, longest_repeated_factor, rotation
+
+from oracles import fibonacci, squares_scan, thue_morse
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
 EXAMPLE_22_SQUARES = {
     "aa", "bb", "abab", "baba", "abaaba", "bbabba", "babbab", "abbabb",
     "babbbabb", "bbabbbab", "baababaaba", "aababaabab", "babbbabbabbbab",
 }
-
-
-def brute_squares(w):
-    """Independent oracle: every even substring split in the middle."""
-    out = set()
-    for i in range(len(w)):
-        for j in range(i + 2, len(w) + 1, 2):
-            m = (i + j) // 2
-            if w[i:m] == w[m:j]:
-                out.add(w[i:j])
-    return out
 
 
 class TestSquareType:
@@ -75,13 +65,13 @@ class TestDistinctSquares:
         for n in range(13):
             for code in range(1 << n):
                 w = "".join("ab"[(code >> i) & 1] for i in range(n))
-                assert {s.word for s in distinct_squares(w)} == brute_squares(w)
+                assert {s.word for s in distinct_squares(w)} == squares_scan(w)
 
     def test_against_brute_oracle_ternary(self):
         rng = random.Random(21)
         for _ in range(400):
             w = "".join(rng.choice("abc") for _ in range(rng.randint(1, 12)))
-            assert {s.word for s in distinct_squares(w)} == brute_squares(w)
+            assert {s.word for s in distinct_squares(w)} == squares_scan(w)
 
 
 class TestRunBasedScan:
@@ -115,18 +105,14 @@ class TestRunBasedScan:
         # past 256 letters: repetitive words, whose longest repeated factor is
         # long, random ones, whose longest repeated factor is short, and a
         # square whose half is exactly the longest repeated factor
-        fib = ["a", "ab"]
-        while len(fib[-1]) < 300:
-            fib.append(fib[-1] + fib[-2])
         u = "".join(rng.choice("abc") for _ in range(150))
-        words += [fib[-1][:300], "a" * 300, ("abaab" * 70)[:333],
-                  "".join("ab"[bin(i).count("1") % 2] for i in range(300)),
+        words += [fibonacci(300), "a" * 300, ("abaab" * 70)[:333], thue_morse(300),
                   "".join(rng.choice("abc") for _ in range(400)), u + u]
         return words
 
     def test_scan_and_runs_agree(self):
         for w in self.agreement_words():
-            assert {s.word for s in distinct_squares(w)} == _squares_scan(w), w
+            assert {s.word for s in distinct_squares(w)} == squares_scan(w), w
 
     def test_period_runs_are_match_runs_to_lrf(self):
         for w in self.agreement_words() + [""]:
@@ -156,13 +142,13 @@ class TestRunBasedScan:
                        for t in range(s, s + length)]
             assert covered == [t for t in range(len(w) - lag)
                                if w[t] == w[t + lag]]
-        assert {s.word for s in distinct_squares(w)} == _squares_scan(w)
+        assert {s.word for s in distinct_squares(w)} == squares_scan(w)
 
     def test_long_words_use_run_path(self):
         rng = random.Random(24)
         for _ in range(5):
             w = "".join(rng.choice("ab") for _ in range(300))
-            assert {s.word for s in distinct_squares(w)} == _squares_scan(w)
+            assert {s.word for s in distinct_squares(w)} == squares_scan(w)
 
     def test_lag_validation(self):
         with pytest.raises(ValueError):

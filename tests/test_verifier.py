@@ -148,8 +148,18 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
         # binary length 7 splits into 1 + 32 units (prefixes of length 6)
         summary = exhaustive_search(2, 7, jobs=jobs)
-        assert sizes == [size]
+        # a clamp to one process runs in this process, without a pool
+        assert sizes == ([size] if size > 1 else [])
         assert summary == exhaustive_search(2, 7)
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep clamped to one process must not start a pool")
+
+        serial = exhaustive_search(2, 8)
+        monkeypatch.setattr(verifier.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 1)
+        assert exhaustive_search(2, 8, jobs=4) == serial
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_nonpositive_jobs_stay_serial(self, monkeypatch, jobs):

@@ -27,11 +27,9 @@ from sqcirc.words import (
     three_words_decomposition,
 )
 
+from oracles import fibonacci, random_word, thue_morse, word_with_periods
+
 B_BEFORE_A = SymbolOrder.from_string("ba")
-
-
-def random_word(rng, letters="ab", lo=1, hi=24):
-    return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
 
 
 class TestRotation:
@@ -57,7 +55,7 @@ class TestRotation:
         # rotating by i then j lands where a single combined rotation does
         rng = random.Random(11)
         for _ in range(200):
-            w = random_word(rng, "abc")
+            w = random_word(rng, "abc", 1, 24)
             n = len(w)
             i, j = rng.randint(1, n), rng.randint(1, n)
             combined = ((i - 1 + j - 1) % n) + 1
@@ -81,7 +79,7 @@ class TestConjugacyClass:
     def test_size_equals_root_length(self):
         rng = random.Random(12)
         for _ in range(300):
-            w = random_word(rng)
+            w = random_word(rng, "ab", 1, 24)
             assert len(conjugacy_class(w)) == len(primitive_root(w)[0])
 
 
@@ -101,7 +99,7 @@ class TestPrimitiveRoot:
     def test_reconstruction(self):
         rng = random.Random(13)
         for _ in range(300):
-            w = random_word(rng)
+            w = random_word(rng, "ab", 1, 24)
             root, exp = primitive_root(w)
             assert root * exp == w
             assert is_primitive(root)
@@ -109,21 +107,10 @@ class TestPrimitiveRoot:
     def test_smallest_period_consistency(self):
         rng = random.Random(14)
         for _ in range(200):
-            w = random_word(rng)
+            w = random_word(rng, "ab", 1, 24)
             p = smallest_period(w)
             assert has_period(w, p)
             assert all(not has_period(w, q) for q in range(1, p))
-
-
-def _fibonacci(n):
-    a, b = "a", "ab"
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
-
-
-def _thue_morse(n):
-    return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
 
 
 def _oracle_words():
@@ -131,7 +118,7 @@ def _oracle_words():
     # words, and words past ASCII and past 256 code points
     words = {"".join(t) for letters, top in (("ab", 12), ("abc", 8))
              for n in range(1, top + 1) for t in itertools.product(letters, repeat=n)}
-    for long in (_fibonacci(384), _thue_morse(384), "a" * 300 + "b", "ab" * 150 + "a"):
+    for long in (fibonacci(384), thue_morse(384), "a" * 300 + "b", "ab" * 150 + "a"):
         words |= {long[i:i + n] for n in range(1, 301, 5)
                   for i in range(len(long) - n + 1)}
     wide = "".join(chr(0x100 + i) for i in range(300))
@@ -289,7 +276,7 @@ class TestComplexity:
     def test_profile_matches_direct_counts(self):
         rng = random.Random(16)
         for _ in range(100):
-            w = random_word(rng, "abc")
+            w = random_word(rng, "abc", 1, 24)
             prof = complexity_profile(w)
             assert len(prof) == len(w) + 2
             assert prof == tuple(complexity(w, n) for n in range(len(w) + 2))
@@ -300,7 +287,7 @@ class TestComplexity:
     def test_growth_bound_and_tail(self):
         rng = random.Random(17)
         for _ in range(100):
-            w = random_word(rng, "abc")
+            w = random_word(rng, "abc", 1, 24)
             prof = complexity_profile(w)
             k = len(set(w))
             assert prof[len(w) + 1] == 0
@@ -438,35 +425,9 @@ class TestFineWilf:
             if k == l:
                 continue
             n = k + l - g + rng.randint(0, 3)
-            w = _word_with_periods(n, k, l, rng)
+            w = word_with_periods(n, k, l, rng)
             assert has_period(w, k) and has_period(w, l)
             assert has_period(w, g)
-
-
-def _word_with_periods(n, k, l, rng):
-    """Random word of length n having periods k and l by construction."""
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for p in (k, l):
-        for i in range(n - p):
-            union(i, i + p)
-    letters = {}
-    out = []
-    for i in range(n):
-        r = find(i)
-        if r not in letters:
-            letters[r] = rng.choice("ab")
-        out.append(letters[r])
-    return "".join(out)
 
 
 class TestAlphabet:
