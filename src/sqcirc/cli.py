@@ -24,6 +24,7 @@ from .verifier import (
 from .words import NATURAL, SymbolOrder
 
 OK, USAGE, IO, VIOLATION = 0, 1, 2, 3
+BATCH = 1 << 20  # check --json writes its parts in batches of at least this many characters
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,8 +147,15 @@ def _cmd_inject(args, order) -> int:
 def _cmd_check(args, order) -> int:
     analysis = WordAnalysis.of(args.word)
     report, bad = analysis.report, analysis.violations
-    if args.json:
-        sys.stdout.write(analysis.json_text(order))
+    if args.json:  # in batches, so neither the text nor its bytes are held whole
+        batch, size = [], 0
+        for part in analysis.json_parts(order):
+            batch.append(part)
+            size += len(part)
+            if size >= BATCH:
+                sys.stdout.write("".join(batch))
+                batch, size = [], 0
+        sys.stdout.write("".join(batch))
     else:
         sys.stdout.write(analysis.text(order))
         for msg in bad:

@@ -7,7 +7,6 @@ S(w) - 1 <= sc(w) <= |w| - |Alph(w)| where sc(w) counts small circuits.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -165,9 +164,10 @@ class WordAnalysis:
             bad.append(f"{w}: circuit total {sc_total} above |w|-|Alph(w)|")
         bad.extend(f"{w}: order {r} has {sc_r} circuits, cap {cap}"
                    for r, sc_r, cap in rep.per_order_counts if sc_r > cap)
-        bad.extend(f"{w}: image {circ} of {sq.word} does not exist"
-                   for sq, circ in inj.assignments
-                   if (circ.root, circ.order) not in self.existing)
+        if not inj.all_images_exist:  # the conjunction of these very tests
+            bad.extend(f"{w}: image {circ} of {sq.word} does not exist"
+                       for sq, circ in inj.assignments
+                       if (circ.root, circ.order) not in self.existing)
         for cls in self.classes:
             for sq in cls.members:
                 co = square_coordinates(sq, cls)
@@ -176,15 +176,20 @@ class WordAnalysis:
                                f"do not rebuild {sq.word}")
         if not inj.injective:
             bad.append(f"{w}: injection images collide")
-        ranges = direct_order_ranges(w, self.profile)
-        pairs, found = circuit_pairs(ranges), order_counts(ranges)
-        bad.extend(f"{w}: order {r} enumerators disagree ({found.get(r, 0)} direct "
-                   f"vs {self.counts.get(r, 0)} batched)"
-                   for r in sorted({r for _, r in pairs ^ self.existing}))
+        ranges, found = direct_order_ranges(w, self.profile), self.counts
+        if ranges != self.ranges:  # equal ranges name equal circuits at every order
+            pairs, found = circuit_pairs(ranges), order_counts(ranges)
+            bad.extend(f"{w}: order {r} enumerators disagree ({found.get(r, 0)} direct "
+                       f"vs {self.counts.get(r, 0)} batched)"
+                       for r in sorted({r for _, r in pairs ^ self.existing}))
+        crowded: dict[int, list[str]] = {}  # one edge cannot collide with itself
+        for q, (lo, hi) in ranges.items():
+            for r in range(lo, hi + 1):
+                if found[r] > 1:
+                    crowded.setdefault(r, []).append(q)
         # C(q, r)'s maximal edge: the greatest rotation's power, a prefix of C(q, hi)'s
-        top = {q: max(_powers(q, hi + 1)) for q, (_, hi) in ranges.items()}
-        for r, group in groupby(sorted((r, q) for q, r in pairs), key=lambda rq: rq[0]):
-            roots = [q for _, q in group]
+        top = {q: max(_powers(q, ranges[q][1] + 1)) for q in set().union(*crowded.values())}
+        for r, roots in sorted(crowded.items()):
             if len({top[q][:r + 1] for q in roots}) != len(roots):
                 bad.append(f"{w}: order {r} maximal edges collide")
                 # distinct maximal edges make the matrix unit triangular: full rank
@@ -199,51 +204,66 @@ class WordAnalysis:
 
     def json_text(self, order: SymbolOrder) -> str:
         """The JSON document as json.dumps(document, indent=2) renders it, plus
-        a newline; `sqcirc check --json` prints it.
+        a newline: the join of json_parts."""
+        return "".join(self.json_parts(order))
 
-        The circuits come from circuit_blocks, one joined block of windows per
-        (root, length). Every string of the document is a word over w's
-        letters, so when w needs no JSON escape none does, and a block is
-        joined as it is. The other members are small: json.dumps renders each,
-        and its lines are indented by two spaces, which is safe as no JSON
-        string holds a raw newline.
+    def json_parts(self, order: SymbolOrder) -> list[str]:
+        """The parts of json_text, which `sqcirc check --json` writes in turn.
+
+        Every member is rendered from templates that lay it out as
+        json.dumps(..., indent=2) nests it. The circuits come from
+        circuit_blocks, one joined block of windows per (root, length), each a
+        part of its own. Every string of the document is a word over w's
+        letters, so when w needs no JSON escape none does, and strings and
+        blocks are quoted as they are.
         """
         w, report = self.word, self.report
         if encode_basestring_ascii(w) == f'"{w}"':
+            quote = '"{}"'.format
+
             def block(items):
                 return '"' + '",\n        "'.join(items) + '"'
         else:
+            quote = encode_basestring_ascii
+
             def block(items):
-                return ",\n        ".join(map(encode_basestring_ascii, items))
+                return ",\n        ".join(map(quote, items))
 
-        def members(**values):
-            return ",\n".join(f'  "{key}": ' + json.dumps(v, indent=2).replace("\n", "\n  ")
-                              for key, v in values.items())
+        def objects(rows):  # a member's list of objects, one "\n    {...}" row each
+            return "[" + ",".join(rows) + "\n  ]" if rows else "[]"
 
+        head = "".join([
+            f'{{\n  "word": {quote(w)},\n  "length": {len(w)},\n  "alphabet": [\n    ',
+            ",\n    ".join(map(quote, sorted(set(w), key=order.sort_key))),
+            '\n  ],\n  "squares": ',
+            objects([f'\n    {{\n      "half": {quote(s.half)},\n      "word": '
+                     f'{quote(s.word)}\n    }}' for s in sorted(self.squares)]),
+            ',\n  "classes": ',
+            objects([f'\n    {{\n      "root": {quote(c.root)},\n      "index": '
+                     f'{c.index},\n      "members": [\n        '
+                     f'{block(sorted(m.word for m in c.members))}\n      ]\n    }}'
+                     for c in self.classes]),
+            ',\n  "circuits": ['])
         circuits = []
         for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, block):
-            circuits += ['\n    {\n      "root": ', encode_basestring_ascii(q),
-                         f',\n      "order": {r},\n      "vertices": [\n        ', vertices,
+            circuits += [f'\n    {{\n      "root": {quote(q)},\n      "order": {r},'
+                         '\n      "vertices": [\n        ', vertices,
                          '\n      ],\n      "edges": [\n        ', edges,
-                         '\n      ],\n      "maximal_edge": ',
-                         encode_basestring_ascii(top), "\n    }", ","]
+                         f'\n      ],\n      "maximal_edge": {quote(top)}\n    }}', ","]
         circuits[-1:] = ["\n  ]" if circuits else "]"]
-        return "".join([
-            "{\n",
-            members(word=w, length=len(w), alphabet=sorted(set(w), key=order.sort_key),
-                    squares=[{"half": s.half, "word": s.word} for s in sorted(self.squares)],
-                    classes=[{"root": c.root, "index": c.index,
-                              "members": sorted(m.word for m in c.members)}
-                             for c in self.classes]),
-            ',\n  "circuits": [', *circuits, ",\n",
-            members(injection=[{"square": sq.word,
-                                "circuit": {"root": circ.root, "order": circ.order}}
-                               for sq, circ in self.injection.assignments],
-                    theorem={"S": report.square_count_with_empty, "bound": report.bound,
-                             "holds": report.holds, "sc_total": report.small_circuit_total,
-                             "per_order": [{"r": r, "sc_r": sc_r, "cap": cap}
-                                           for r, sc_r, cap in report.per_order_counts]}),
-            "\n}\n"])
+        tail = "".join([
+            ',\n  "injection": ',
+            objects([f'\n    {{\n      "square": {quote(sq.word)},\n      "circuit": '
+                     f'{{\n        "root": {quote(circ.root)},\n        "order": '
+                     f'{circ.order}\n      }}\n    }}'
+                     for sq, circ in self.injection.assignments]),
+            f',\n  "theorem": {{\n    "S": {report.square_count_with_empty},\n    '
+            f'"bound": {report.bound},\n    "holds": {str(report.holds).lower()},\n    '
+            f'"sc_total": {report.small_circuit_total},\n    "per_order": [',
+            ",".join(f'\n      {{\n        "r": {r},\n        "sc_r": {sc_r},\n        '
+                     f'"cap": {cap}\n      }}' for r, sc_r, cap in report.per_order_counts),
+            "\n    ]\n  }\n}\n"])
+        return [head, *circuits, tail]
 
     def text(self, order: SymbolOrder) -> str:
         """The plain-text report printed by `sqcirc check`."""
@@ -393,6 +413,7 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
         units = [(alphabet_size, range(1, depth))]
         units += [(alphabet_size, range(depth, max_len + 1), p)
                   for p in canonical_words(alphabet_size, depth)]
+        import multiprocessing  # only a parallel sweep pays for the import
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.starmap(_sweep_lengths, units)
     best: dict[int, int] = {}

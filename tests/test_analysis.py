@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import sqcirc.circuits as circuits
+import sqcirc.injection as injection
 import sqcirc.squares as squares
 import sqcirc.verifier as verifier
 import sqcirc.words as words
@@ -17,7 +18,8 @@ from sqcirc.circuits import (
 )
 from sqcirc.cli import main
 from sqcirc.injection import build_injection
-from sqcirc.squares import distinct_squares, period_runs, square_classes
+from sqcirc.squares import (ClassCoordinates, distinct_squares, period_runs,
+                             square_classes)
 from sqcirc.verifier import (
     WordAnalysis,
     canonical_count,
@@ -200,6 +202,55 @@ class TestBattery:
                 *(f"aababa: order 2 {m}" for m in messages)]
         finally:
             WordAnalysis.of.cache_clear()
+
+    @staticmethod
+    def faked_battery(monkeypatch, target, name, fake) -> list[str]:
+        # the battery's messages for aababa with target.name replaced by
+        # fake(original, *args)
+        original = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *args: fake(original, *args))
+        WordAnalysis.of.cache_clear()
+        try:
+            return verify_word("aababa")
+        finally:  # the cached analysis holds the faked battery's verdict
+            WordAnalysis.of.cache_clear()
+
+    def test_missing_image(self, monkeypatch):
+        # the existing circuits lack C(ab,3), the image of baba
+        assert self.faked_battery(
+            monkeypatch, verifier, "circuit_pairs",
+            lambda original, ranges: original(ranges) - {("ab", 3)}) == [
+            "aababa: image C(ab,3) of baba does not exist"]
+
+    def test_colliding_images(self, monkeypatch):
+        # every member of a class goes to its first member's image
+        assert self.faked_battery(
+            monkeypatch, injection, "inject_class",
+            lambda original, w, cls: [(sq, original(w, cls)[0][1])
+                                      for sq, _ in original(w, cls)]) == [
+            "aababa: injection images collide"]
+
+    def test_coordinates_that_do_not_rebuild(self, monkeypatch):
+        def shifted(original, sq, cls):
+            co = original(sq, cls)
+            return ClassCoordinates(co.i, co.j + (sq.word == "baba"))
+        assert self.faked_battery(monkeypatch, verifier, "square_coordinates",
+                                  shifted) == [
+            "aababa: coordinates (2,2) do not rebuild baba"]
+
+    # both engines report the extra circuits, so only the caps can catch them;
+    # the caps sum to |w| - |Alph(w)|, so a total above it breaks one of them
+    @pytest.mark.parametrize("extra,messages", [
+        ({"b": (5, 5)}, ["order 5 has 1 circuits, cap 0"]),
+        ({"b": (4, 5)}, ["circuit total 5 above |w|-|Alph(w)|",
+                         "order 4 has 1 circuits, cap 0",
+                         "order 5 has 1 circuits, cap 0"])])
+    def test_circuits_over_the_caps(self, monkeypatch, extra, messages):
+        self.fake_direct_engine(monkeypatch, lambda ranges: {**ranges, **extra})
+        assert self.faked_battery(
+            monkeypatch, verifier, "circuit_order_ranges",
+            lambda original, w, runs: {**original(w, runs), **extra}) == [
+            f"aababa: {m}" for m in messages]
 
     def test_check_runs_no_per_order_enumeration_or_rank(self, monkeypatch, capsys):
         # distinct maximal edges settle the rank, and one engine call covers

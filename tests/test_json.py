@@ -2,14 +2,21 @@
 
 The oracle builds the document as a dict, circuit by circuit from
 all_small_circuits with realize and maximal_edge, and json.dumps renders it;
-WordAnalysis.json_text renders the circuits from circuits.circuit_blocks'
-shared window blocks and must give the same text.
+WordAnalysis.json_text renders it from templates, with the circuits from
+circuits.circuit_blocks' shared window blocks, and must give the same text,
+which `sqcirc check --json` writes in batches of its parts.
 """
+import io
 import json
+import os
 import random
+import sys
+import tracemalloc
 
 import pytest
 
+from sqcirc import cli
+from sqcirc.cli import main
 from sqcirc.circuits import all_small_circuits, maximal_edge, realize
 from sqcirc.verifier import WordAnalysis, analyze, canonical_words, json_document
 from sqcirc.words import NATURAL, SymbolOrder
@@ -86,3 +93,64 @@ def test_escaped_words_render_escapes():
     text = WordAnalysis.of('a"b\\a"b\\').json_text(NATURAL)
     assert '"a\\"b\\\\a\\"b\\\\"' in text
     assert "\\u00f1" in WordAnalysis.of("ñaña").json_text(NATURAL)
+
+
+class TestCheckJson:
+    """`sqcirc check --json` prints json_parts in batches, from templates only."""
+
+    @pytest.mark.parametrize("w", [fibonacci(300), ESCAPED[1]], ids=["fib300", "escaped"])
+    def test_no_json_encoder_call(self, monkeypatch, capsys, w):
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(json, "dumps", counted("dumps", json.dumps))
+        monkeypatch.setattr(json.JSONEncoder, "iterencode",
+                            counted("iterencode", json.JSONEncoder.iterencode))
+        WordAnalysis.of.cache_clear()
+        assert main(["check", w, "--json"]) == 0
+        assert capsys.readouterr().out == WordAnalysis.of(w).json_text(NATURAL)
+        assert calls == []
+
+    @pytest.mark.parametrize("batch", [1, cli.BATCH])
+    @pytest.mark.parametrize("w", [fibonacci(200), "aababa", *ESCAPED],
+                             ids=["fib200", "aababa", "escaped0", "escaped1",
+                                  "escaped2", "escaped3"])
+    def test_batches_join_to_json_text(self, monkeypatch, w, batch):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, s):
+                writes.append(len(s))
+                return super().write(s)
+        monkeypatch.setattr(cli, "BATCH", batch)
+        for order in orders(w):
+            writes.clear()
+            monkeypatch.setattr(sys, "stdout", Recorder())
+            flags = [] if order is NATURAL else ["--order", "".join(order.symbols)]
+            assert main(["check", w, "--json", *flags]) == 0
+            assert sys.stdout.getvalue() == WordAnalysis.of(w).json_text(order), (w, order)
+            # every write but the last is a full batch; a batch of one
+            # character writes each part on its own
+            assert all(n >= batch for n in writes[:-1]), writes
+            assert len(writes) > 1 or batch > 1
+
+    def test_peak_memory_below_the_payload(self, monkeypatch):
+        # the parts share each window block between two circuits, and a batch
+        # holds about 1 MiB, so no whole copy of the text or its bytes is made
+        w = fibonacci(512)
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            WordAnalysis.of.cache_clear()
+            tracemalloc.start()
+            try:
+                assert main(["check", w, "--json"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        payload = len(WordAnalysis.of(w).json_text(NATURAL))
+        assert payload > 17_000_000
+        assert peak < payload, (peak, payload)

@@ -1,5 +1,6 @@
 """Unit tests for theorem checks, sweeps, corpus runs, and report emission."""
 import json
+import multiprocessing
 import random
 import tracemalloc
 
@@ -144,7 +145,7 @@ class TestExhaustiveSearch:
             def starmap(self, fn, units):
                 return [fn(*unit) for unit in units]
 
-        monkeypatch.setattr(verifier.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
         # binary length 7 splits into 1 + 32 units (prefixes of length 6)
         summary = exhaustive_search(2, 7, jobs=jobs)
@@ -157,7 +158,7 @@ class TestExhaustiveSearch:
             raise AssertionError("a sweep clamped to one process must not start a pool")
 
         serial = exhaustive_search(2, 8)
-        monkeypatch.setattr(verifier.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: 1)
         assert exhaustive_search(2, 8, jobs=4) == serial
 
@@ -166,7 +167,7 @@ class TestExhaustiveSearch:
         def no_pool(*args, **kwargs):
             raise AssertionError("a serial sweep must not start a pool")
 
-        monkeypatch.setattr(verifier.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert exhaustive_search(2, 6, jobs=jobs) == exhaustive_search(2, 6)
 
     def test_budget_guard(self):
