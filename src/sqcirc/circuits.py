@@ -6,6 +6,11 @@ small circuit is determined up to conjugacy by a primitive word q with
 p^{(r+1)/|p|} over the rotations p of q. Enumeration therefore goes through
 edge periodicity instead of graph search; the graph search survives only as
 the cross-check oracle in tests/oracles.py.
+
+One engine, circuit_order_ranges, names every class with the range of orders
+it lives in; small_circuits, all_small_circuits, circuit_counts_by_order,
+independence_rank and circuit_blocks all read it. direct_order_ranges reads
+the same ranges off factor tests alone, as the battery's cross-check.
 """
 from __future__ import annotations
 
@@ -19,11 +24,9 @@ from .words import (
     SymbolOrder,
     _profile_lrf,
     extremal_rotation,
-    factors,
     is_primitive,
     least_rotation,
     power_to_length,
-    smallest_period,
 )
 
 
@@ -67,32 +70,12 @@ def _canonical_circuit(root: str, order: int) -> SmallCircuit:
 
 
 def small_circuits(w: str, r: int) -> frozenset[SmallCircuit]:
-    """The small circuits of Gamma_r(w).
-
-    Every edge of a small circuit is a fractional power of a primitive word
-    q, |q| <= r; conversely q, read off an edge's smallest period, is a
-    circuit iff every rotation of q extends to an edge. Lemma: in sorted
-    order, the first edge that surfaces a class with a circuit is its least
-    rotation's, so q is canonical as read. Proof sketch: the least rotation
-    is unbordered, so its edge has no period below |q| and surfaces the
-    class; two rotations differ within their first |q| <= r letters, so its
-    edge precedes the other rotations'. A class without a circuit fails the
-    check whichever edge surfaces it.
-    """
+    """The small circuits of Gamma_r(w): the order-r slice of
+    circuit_order_ranges(w). For every order at once, use all_small_circuits."""
     if not 1 <= r <= len(w):
         raise ValueError(f"graph order {r} out of range 1..{len(w)}")
-    edge_labels = factors(w, r + 1)
-    seen: set[str] = set()
-    out = []
-    for e in sorted(edge_labels):
-        p = smallest_period(e)
-        if p > r or e[:p] in seen:
-            continue
-        x = e + e[-p:]  # slices at 0..p-1: the edges of e[:p]'s rotations
-        seen.update(x[i:i + p] for i in range(p))
-        if all(x[i:i + r + 1] in edge_labels for i in range(1, p)):
-            out.append(_canonical_circuit(e[:p], r))
-    return frozenset(out)
+    return frozenset(_canonical_circuit(q, r)
+                     for q, (lo, hi) in circuit_order_ranges(w).items() if lo <= r <= hi)
 
 
 def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:

@@ -24,7 +24,10 @@ from .verifier import (
 from .words import NATURAL, SymbolOrder
 
 OK, USAGE, IO, VIOLATION = 0, 1, 2, 3
-BATCH = 1 << 20  # check --json writes its parts in batches of at least this many characters
+# check --json writes its parts in batches of at least this many characters:
+# under python -u or PYTHONUNBUFFERED stdout is write-through, and one write
+# per part would be one system call per part
+BATCH = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +96,7 @@ _PARSER = _build_parser()  # static, and each build costs milliseconds
 
 
 def _order_of(args) -> SymbolOrder:
-    return SymbolOrder.from_string(args.order) if args.order else NATURAL
+    return SymbolOrder.from_string(args.order) if args.order is not None else NATURAL
 
 
 def _cmd_squares(args, order) -> int:

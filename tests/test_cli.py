@@ -198,3 +198,8 @@ class TestUsage:
         code, _, err = run(capsys, "squares", "aa", "--order", "aa")
         assert code == 1
         assert "repeated" in err
+
+    def test_empty_order_is_rejected(self, capsys):
+        # an empty order string is a usage error, not the natural order
+        assert run(capsys, "check", "ab", "--order", "") == (
+            1, "", "sqcirc: error: order string is empty\n")
