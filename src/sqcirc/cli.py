@@ -189,10 +189,10 @@ def _cmd_corpus(args, order) -> int:
     tightest = None
     units = 0
     bad = 0
-    for report in corpus_analyze(args.path, mode, args.max_unit_len):
+    for unit, report in corpus_analyze(args.path, mode, args.max_unit_len):
         units += 1
         verdict = "holds" if report.holds else "VIOLATED"
-        print(f"unit {units}: len={len(report.word)} S={report.square_count_with_empty} "
+        print(f"unit {unit}: len={len(report.word)} S={report.square_count_with_empty} "
               f"bound={report.bound} slack={report.slack} {verdict}")
         if not report.holds or not report.chain_holds:
             bad += 1

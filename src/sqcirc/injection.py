@@ -4,6 +4,10 @@ Each square class maps into circuits of its own root, at orders computed from
 the member coordinates (index at least 2) or from the members' lexicographic
 ranks (index 1). Images across classes stay distinct because a circuit
 determines its root class and its order.
+
+One core, class_images, maps the rows of squares.class_rows to plain
+(square, circuit root, order) images; inject_class, audit_injection and
+build_injection wrap it.
 """
 from __future__ import annotations
 
@@ -11,9 +15,7 @@ from dataclasses import dataclass
 
 from .circuits import (SmallCircuit, _canonical_circuit, circuit_order_ranges,
                        circuit_pairs)
-from .squares import (Square, SquareClass, distinct_squares, group_classes,
-                      period_runs, square_coordinates)
-from .words import least_rotation
+from .squares import Square, SquareClass, class_rows, distinct_squares, period_runs
 
 
 @dataclass(frozen=True)
@@ -25,45 +27,55 @@ class InjectionReport:
     circuit_count: int
 
 
-def inject_class(w: str, cls: SquareClass) -> list[tuple[Square, SmallCircuit]]:
-    """Map the members of one class to small circuits.
+def class_images(rows) -> list[tuple[Square, str, int]]:
+    """The image (square, circuit root, order) of every member of every row
+    of squares.class_rows, row by row and in each row in member order.
 
-    Index >= 2: the member with coordinates (i, j) goes to C(v, j*l + i - 1).
-    Index 1: members sorted lexicographically receive ranks i = 1..t and go
-    to C(v, l + i - 1); the rank pairing is a convention, any bijection onto
-    those circuits preserves the counting argument.
+    Index >= 2: the member with coordinates (i, j) goes to C(v, j*l + i - 1),
+    l = |v|. Index 1: the members, sorted by word, receive ranks i = 1..t and
+    go to C(v, l + i - 1); the rank pairing is a convention, any bijection
+    onto those circuits preserves the counting argument. The circuit root is
+    the row's least rotation of v; v is primitive, so every order is >= l.
     """
-    l, canon = len(cls.root), least_rotation(cls.root)  # primitive, orders >= l
-    if cls.index >= 2:
-        return [(sq, _canonical_circuit(canon, co.j * l + co.i - 1))
-                for sq in sorted(cls.members) for co in [square_coordinates(sq, cls)]]
-    return [(sq, _canonical_circuit(canon, l + i - 1))
-            for i, sq in enumerate(sorted(cls.members, key=lambda s: s.word), 1)]
+    images = []
+    for v, index, canon, members in rows:
+        l = len(v)
+        if index >= 2:
+            images += [(sq, canon, j * l + i - 1) for sq, i, j in members]
+        else:
+            images += [(sq, canon, l + rank) for rank, (sq, _, _) in enumerate(members)]
+    return images
+
+
+def inject_class(w: str, cls: SquareClass) -> list[tuple[Square, SmallCircuit]]:
+    """Map the members of one class of w to small circuits, in square order:
+    class_images over the class's one row."""
+    return [(sq, _canonical_circuit(root, r))
+            for sq, root, r in class_images(class_rows(cls.members))]
 
 
 def build_injection(w: str) -> InjectionReport:
     """The full map over every class, with its health flags, from one scan."""
     runs = period_runs(w)
-    return audit_injection(w, group_classes(distinct_squares(w, runs)),
+    return audit_injection(class_images(class_rows(distinct_squares(w, runs))),
                            circuit_pairs(circuit_order_ranges(w, runs)))
 
 
-def audit_injection(w: str, classes: list[SquareClass],
+def audit_injection(images: list[tuple[Square, str, int]],
                     existing: frozenset[tuple[str, int]]) -> InjectionReport:
-    """Map every class and audit the images against the existing circuits.
+    """Audit the images of class_images against the existing circuits.
 
     existing holds the small circuits of w as (root, order) pairs.
     Assignments come in square order: shortest square first, then
     lexicographic. A missing image or a collision would falsify the bound,
     so both are reported rather than raised.
     """
-    assignments = sorted((pair for cls in classes for pair in inject_class(w, cls)),
-                         key=lambda p: (len(p[0].word), p[0].word))
-    images = [c for _, c in assignments]
+    pairs = [(root, r) for _, root, r in images]
     return InjectionReport(
-        assignments=tuple(assignments),
-        injective=len(set(images)) == len(images),
-        all_images_exist=all((c.root, c.order) in existing for c in images),
-        square_count=len(assignments),
+        assignments=tuple((sq, _canonical_circuit(root, r)) for sq, root, r
+                          in sorted(images, key=lambda m: (len(m[0].word), m[0].word))),
+        injective=len(set(pairs)) == len(pairs),
+        all_images_exist=existing.issuperset(pairs),
+        square_count=len(images),
         circuit_count=len(existing),
     )

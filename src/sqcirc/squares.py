@@ -139,33 +139,59 @@ def square_classes(w: str) -> list[SquareClass]:
     return group_classes(distinct_squares(w))
 
 
-def group_classes(squares) -> list[SquareClass]:
-    """Partition the distinct squares of a word by conjugacy of the half's root.
+def class_rows(squares) -> list[tuple[str, int, str, list[tuple[Square, int, int]]]]:
+    """One pass over the distinct squares of a word: a row per square class.
 
-    Classes are sorted by (root length, root) under the default order. The
-    index is the largest n such that u^{2n} is a factor of the word for some
-    u conjugate to the root; such a u qualifies, and the stored root is the
-    least qualifying rotation.
+    A row is (root, index, canon, members): the class root and index as
+    group_classes names them, canon the root's least rotation (the root of
+    the class's circuits), and members the (square, i, j) of every member,
+    sorted by word, with its coordinates (see square_coordinates). Rows are
+    sorted by (root length, root). Each member's primitive root is computed
+    once, and each class's least rotation once.
 
-    Lemma: the qualifying rotations are the primitive roots of the members
-    of top exponent. Proof sketch: t^(2*index) is a factor iff it is one of
-    the distinct squares, the one with half t^index, whose primitive root is
-    t and whose exponent is index.
+    Lemma: in one class, word order is Square order. Proof sketch: the
+    halves are powers of rotations of one length l; if one half is a prefix
+    of the other, both are powers of one rotation, and so are the squares;
+    otherwise both pairs first differ at the same position.
+
+    The index is the largest n such that u^{2n} is a factor of the word for
+    some u conjugate to the root; such a u qualifies, and the stored root is
+    the least qualifying rotation. Lemma: the qualifying rotations are the
+    primitive roots of the members of top exponent. Proof sketch: t^(2*index)
+    is a factor iff it is one of the distinct squares, the one with half
+    t^index, whose primitive root is t and whose exponent is index.
     """
-    groups: dict[str, set[Square]] = {}
-    heads: dict[str, tuple[int, str]] = {}  # class -> least (-exponent, root)
+    groups: dict[str, list[tuple[str, Square, str, int]]] = {}
     named: dict[str, str] = {}  # each rotation (so conjugate) of a root seen -> class
     for sq in squares:
         root, exp = primitive_root(sq.half)
         if (canon := named.get(root)) is None:
             canon = least_rotation(root)
             named.update((root[i:] + root[:i], canon) for i in range(len(root)))
-        groups.setdefault(canon, set()).add(sq)
-        heads[canon] = min(heads.get(canon, (0, root)), (-exp, root))
-    out = [SquareClass(root, -neg, frozenset(groups[canon]))
-           for canon, (neg, root) in heads.items()]
-    out.sort(key=lambda c: (len(c.root), c.root))
-    return out
+        groups.setdefault(canon, []).append((sq.word, sq, root, exp))
+    rows = []
+    for canon, group in groups.items():
+        neg, v = min((-exp, root) for _, _, root, exp in group)
+        doubled = v + v
+        group.sort()  # by word: distinct squares have distinct words
+        rows.append((v, -neg, canon, [(sq, doubled.find(root) + 1, exp)
+                                      for _, sq, root, exp in group]))
+    rows.sort(key=lambda row: (len(row[0]), row[0]))
+    return rows
+
+
+def group_classes(squares, rows=None) -> list[SquareClass]:
+    """Partition the distinct squares of a word by conjugacy of the half's root.
+
+    The SquareClass view of class_rows(squares): classes sorted by (root
+    length, root) under the default order, each with its index and least
+    qualifying root (see class_rows). rows is class_rows(squares) if the
+    caller has it; the result is the same either way.
+    """
+    if rows is None:
+        rows = class_rows(squares)
+    return [SquareClass(v, index, frozenset(sq for sq, _, _ in members))
+            for v, index, _, members in rows]
 
 
 def square_coordinates(sq: Square, cls: SquareClass) -> ClassCoordinates:
@@ -187,5 +213,9 @@ def square_coordinates(sq: Square, cls: SquareClass) -> ClassCoordinates:
 
 def rebuild_from_coordinates(v: str, coords: ClassCoordinates) -> str:
     """v_s(i) v^{2j-1} v_p(i): the square named by class-root coordinates."""
-    i, j = coords.i, coords.j
+    return _rebuild(v, coords.i, coords.j)
+
+
+def _rebuild(v: str, i: int, j: int) -> str:
+    # rebuild_from_coordinates(v, ClassCoordinates(i, j)), without the record
     return v[i - 1:] + v * (2 * j - 1) + v[:i - 1]

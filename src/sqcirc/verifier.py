@@ -22,16 +22,16 @@ from .circuits import (
     direct_order_ranges,
     order_counts,
 )
-from .injection import InjectionReport, audit_injection
+from .injection import InjectionReport, audit_injection, class_images
 from .rauzy import RauzyGraph, build_rauzy
 from .squares import (
     Square,
     SquareClass,
+    _rebuild,
+    class_rows,
     distinct_squares,
     group_classes,
     period_runs,
-    rebuild_from_coordinates,
-    square_coordinates,
 )
 from .words import (
     NATURAL,
@@ -104,9 +104,11 @@ class WordAnalysis:
 
     Squares and circuit order ranges (both read off one period_runs scan)
     and the complexity profile are computed up front; they are all the
-    theorem report needs. Classes, the injection and the invariant battery
-    are computed on first use; the reports list the circuits through
-    circuit_blocks.
+    theorem report needs. The rest is computed on first use: the class rows
+    of squares.class_rows and their images under injection.class_images,
+    which the invariant battery reads as plain tuples, and the SquareClass
+    view, InjectionReport and TheoremReport, which only the reports read.
+    The reports list the circuits through circuit_blocks.
     """
 
     word: str
@@ -133,12 +135,22 @@ class WordAnalysis:
         return order_counts(self.ranges)
 
     @_lazy
+    def rows(self) -> list[tuple[str, int, str, list[tuple[Square, int, int]]]]:
+        """The class rows (root, index, canon, members) of squares.class_rows."""
+        return class_rows(self.squares)
+
+    @_lazy
+    def images(self) -> list[tuple[Square, str, int]]:
+        """The (square, circuit root, order) images of injection.class_images."""
+        return class_images(self.rows)
+
+    @_lazy
     def classes(self) -> list[SquareClass]:
-        return group_classes(self.squares)
+        return group_classes(self.squares, self.rows)
 
     @_lazy
     def injection(self) -> InjectionReport:
-        return audit_injection(self.word, self.classes, self.existing)
+        return audit_injection(self.images, self.existing)
 
     @_lazy
     def report(self) -> TheoremReport:
@@ -154,34 +166,44 @@ class WordAnalysis:
 
     @_lazy
     def violations(self) -> tuple[str, ...]:
-        """The messages of every invariant that fails; see verify_word."""
-        w, rep, inj = self.word, self.report, self.injection
+        """The messages of every invariant that fails; see verify_word.
+
+        Reads the class rows, their images, the circuit counts and the
+        profile directly: no SmallCircuit, InjectionReport or TheoremReport
+        is built unless an image is missing, and then only to name it.
+        """
+        w, counts, prof, existing = self.word, self.counts, self.profile, self.existing
         bad: list[str] = []
-        nonempty, sc_total = rep.nonempty_squares, rep.small_circuit_total
+        nonempty, sc_total = len(self.squares), sum(counts.values())
         if nonempty > sc_total:
             bad.append(f"{w}: {nonempty} squares but only {sc_total} circuits")
-        if sc_total > len(w) - rep.alphabet_size:
+        if sc_total > len(w) - len(set(w)):
             bad.append(f"{w}: circuit total {sc_total} above |w|-|Alph(w)|")
-        bad.extend(f"{w}: order {r} has {sc_r} circuits, cap {cap}"
-                   for r, sc_r, cap in rep.per_order_counts if sc_r > cap)
-        if not inj.all_images_exist:  # the conjunction of these very tests
+        # Lemma (caps): every cap C_w(r+1) - C_w(r) + 1 is at least 0, so an
+        # order with no circuit cannot break its cap. Proof sketch: each
+        # factor of length r, except possibly the suffix of w of that length,
+        # extends to the right to a factor of length r+1, which starts with
+        # it; so C_w(r+1) >= C_w(r) - 1.
+        for r, sc_r in sorted(counts.items()):
+            if sc_r > (cap := prof[r + 1] - prof[r] + 1):
+                bad.append(f"{w}: order {r} has {sc_r} circuits, cap {cap}")
+        pairs = [(root, r) for _, root, r in self.images]
+        if not existing.issuperset(pairs):  # only then name the missing ones
             bad.extend(f"{w}: image {circ} of {sq.word} does not exist"
-                       for sq, circ in inj.assignments
-                       if (circ.root, circ.order) not in self.existing)
-        for cls in self.classes:
-            for sq in cls.members:
-                co = square_coordinates(sq, cls)
-                if rebuild_from_coordinates(cls.root, co) != sq.word:
-                    bad.append(f"{w}: coordinates ({co.i},{co.j}) "
-                               f"do not rebuild {sq.word}")
-        if not inj.injective:
+                       for sq, circ in self.injection.assignments
+                       if (circ.root, circ.order) not in existing)
+        for v, _, _, members in self.rows:
+            for sq, i, j in members:
+                if _rebuild(v, i, j) != sq.word:
+                    bad.append(f"{w}: coordinates ({i},{j}) do not rebuild {sq.word}")
+        if len(set(pairs)) != len(pairs):
             bad.append(f"{w}: injection images collide")
-        ranges, found = direct_order_ranges(w, self.profile), self.counts
+        ranges, found = direct_order_ranges(w, prof), counts
         if ranges != self.ranges:  # equal ranges name equal circuits at every order
-            pairs, found = circuit_pairs(ranges), order_counts(ranges)
+            found = order_counts(ranges)
             bad.extend(f"{w}: order {r} enumerators disagree ({found.get(r, 0)} direct "
-                       f"vs {self.counts.get(r, 0)} batched)"
-                       for r in sorted({r for _, r in pairs ^ self.existing}))
+                       f"vs {counts.get(r, 0)} batched)"
+                       for r in sorted({r for _, r in circuit_pairs(ranges) ^ existing}))
         crowded: dict[int, list[str]] = {}  # one edge cannot collide with itself
         for q, (lo, hi) in ranges.items():
             for r in range(lo, hi + 1):
@@ -473,11 +495,12 @@ def analyze(w: str, emit: str = "report", order: SymbolOrder = NATURAL,
 
 def corpus_analyze(path: str, mode: str = "per-line",
                    max_unit_len: int = 1024):
-    """Yield a TheoremReport per unit of a byte corpus.
+    """Yield (unit number, TheoremReport) per unit of a byte corpus.
 
     Units are lines (per-line mode) or the whole file; bytes map one-to-one
-    to symbols. Empty units are skipped; a unit over the length cap is an
-    error since the analysis is meant for desk-scale words.
+    to symbols. A unit's number is its line number (1 for the whole file),
+    blank lines included. Empty units are skipped; a unit over the length
+    cap is an error since the analysis is meant for desk-scale words.
     """
     if mode not in ("per-line", "whole"):
         raise ValueError(f"unknown corpus mode {mode!r}")
@@ -497,7 +520,7 @@ def corpus_analyze(path: str, mode: str = "per-line",
             if size > max_unit_len:
                 raise CorpusError(f"unit {i} has {size} bytes, "
                                   f"cap is {max_unit_len}")
-            yield theorem_check(unit.decode("latin-1"))
+            yield i, theorem_check(unit.decode("latin-1"))
 
 
 def _capped_lines(fh, cap: int):

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 import sqcirc.circuits as circuits
-import sqcirc.injection as injection
 import sqcirc.squares as squares
 import sqcirc.verifier as verifier
 import sqcirc.words as words
@@ -17,10 +16,10 @@ from sqcirc.circuits import (
     circuit_order_ranges,
 )
 from sqcirc.cli import main
-from sqcirc.injection import build_injection
-from sqcirc.squares import (ClassCoordinates, distinct_squares, period_runs,
-                             square_classes)
+from sqcirc.injection import InjectionReport, build_injection
+from sqcirc.squares import distinct_squares, period_runs, square_classes
 from sqcirc.verifier import (
+    TheoremReport,
     WordAnalysis,
     canonical_count,
     canonical_words,
@@ -102,15 +101,24 @@ class TestOncePerWord:
         assert max(greatest.values()) == 1
 
     def test_one_least_rotation_per_class(self, monkeypatch, capsys):
-        # group_classes names each class once, and inject_class names its
-        # circuits once
+        # class_rows names each class once, and the classes, the injection
+        # and the battery all read its rows
         WordAnalysis.of.cache_clear()
         w = fibonacci(300)
         classes = len(square_classes(w))
         counts = count_calls(monkeypatch, words.least_rotation)
         assert main(["check", w]) == 0
         capsys.readouterr()
-        assert counts["least_rotation"] == 2 * classes
+        assert counts["least_rotation"] == classes
+
+    def test_sweep_words_name_each_class_once(self, monkeypatch):
+        WordAnalysis.of.cache_clear()
+        sweep = [w for n in range(1, 11) for w in canonical_words(2, n)]
+        classes = sum(len(square_classes(w)) for w in sweep)
+        counts = count_calls(monkeypatch, words.least_rotation)
+        for w in sweep:
+            assert verify_word(w) == []
+        assert counts["least_rotation"] == classes
 
     def test_check_scans_each_lag_once(self, monkeypatch, capsys):
         # one match_runs call per lag 1..LRF, shared by squares and circuits
@@ -141,6 +149,8 @@ class TestOncePerWord:
 
     def test_theorem_check_builds_no_classes_injection_or_circuits(self, monkeypatch):
         forbid(monkeypatch, squares, "square_classes")
+        forbid(monkeypatch, verifier, "class_rows")
+        forbid(monkeypatch, verifier, "class_images")
         forbid(monkeypatch, verifier, "group_classes")
         forbid(monkeypatch, verifier, "audit_injection")
         forbid(monkeypatch, SmallCircuit, "__post_init__")
@@ -224,18 +234,20 @@ class TestBattery:
 
     def test_colliding_images(self, monkeypatch):
         # every member of a class goes to its first member's image
-        assert self.faked_battery(
-            monkeypatch, injection, "inject_class",
-            lambda original, w, cls: [(sq, original(w, cls)[0][1])
-                                      for sq, _ in original(w, cls)]) == [
+        def collide(original, rows):
+            first = {}
+            return [(sq, *first.setdefault(root, (root, r)))
+                    for sq, root, r in original(rows)]
+        assert self.faked_battery(monkeypatch, verifier, "class_images", collide) == [
             "aababa: injection images collide"]
 
     def test_coordinates_that_do_not_rebuild(self, monkeypatch):
-        def shifted(original, sq, cls):
-            co = original(sq, cls)
-            return ClassCoordinates(co.i, co.j + (sq.word == "baba"))
-        assert self.faked_battery(monkeypatch, verifier, "square_coordinates",
-                                  shifted) == [
+        # baba's row gets j = 2; its class has index 1, so its image stays
+        def shifted(original, squares):
+            return [(v, index, canon, [(sq, i, j + (sq.word == "baba"))
+                                       for sq, i, j in members])
+                    for v, index, canon, members in original(squares)]
+        assert self.faked_battery(monkeypatch, verifier, "class_rows", shifted) == [
             "aababa: coordinates (2,2) do not rebuild baba"]
 
     # both engines report the extra circuits, so only the caps can catch them;
@@ -261,6 +273,29 @@ class TestBattery:
         assert main(["check", fibonacci(300)]) == 0
         assert "injective: True" in capsys.readouterr().out
         assert counts == {"direct_order_ranges": 1}
+
+
+class TestLeanBattery:
+    def test_battery_builds_no_circuit_or_report(self, monkeypatch):
+        WordAnalysis.of.cache_clear()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("_canonical_circuit was called")
+        replace_everywhere(monkeypatch, circuits._canonical_circuit, fail)
+        forbid(monkeypatch, SmallCircuit, "__post_init__")
+        forbid(monkeypatch, InjectionReport, "__init__")
+        forbid(monkeypatch, TheoremReport, "__init__")
+        for n in range(1, 11):
+            for w in canonical_words(2, n):
+                assert verify_word(w) == []
+
+    def test_every_cap_is_nonnegative(self):
+        # the battery checks the caps only at orders with circuits
+        rng = random.Random(20221019)
+        randoms = ["".join(rng.choice("abcd"[:k]) for _ in range(rng.randint(1, 40)))
+                   for k in (rng.randint(1, 4) for _ in range(200))]
+        for w in [*(w for n in range(1, 11) for w in canonical_words(2, n)), *randoms]:
+            assert all(cap >= 0 for _, _, cap in theorem_check(w).per_order_counts), w
 
 
 class TestFieldsMatchStandaloneFunctions:

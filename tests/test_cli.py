@@ -144,6 +144,21 @@ class TestCorpus:
         assert "unit 1: len=6" in out
         assert "summary: 2 units" in out
 
+    def test_units_are_numbered_by_line(self, capsys, tmp_path):
+        # a blank line keeps its number, in the report and in the cap error
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"ab\n\nabc\n" + b"x" * 15 + b"\n")
+        code, out, _ = run(capsys, "corpus", str(path), "--per-line")
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()[:3]] == [
+            "unit 1", "unit 3", "unit 4"]
+        assert "unit 4: len=15" in out
+        assert "summary: 3 units" in out
+        code, out, err = run(capsys, "corpus", str(path), "--per-line",
+                             "--max-unit-len", "10")
+        assert code == 2
+        assert err == "sqcirc: corpus error: unit 4 has 15 bytes, cap is 10\n"
+
     def test_whole(self, capsys, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("aababa\n")

@@ -288,9 +288,9 @@ class TestCorpus:
     def test_two_line_file(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("aababa\nabab\n")
-        reports = list(corpus_analyze(str(path)))
-        assert [r.word for r in reports] == ["aababa", "abab"]
-        assert all(r.holds for r in reports)
+        units = list(corpus_analyze(str(path)))
+        assert [(n, r.word) for n, r in units] == [(1, "aababa"), (2, "abab")]
+        assert all(r.holds for _, r in units)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -300,27 +300,25 @@ class TestCorpus:
     def test_example_line_reproduces_report(self, tmp_path):
         path = tmp_path / "one.txt"
         path.write_text(EXAMPLE_22 + "\n")
-        (report,) = corpus_analyze(str(path))
-        assert report == theorem_check(EXAMPLE_22)
+        assert list(corpus_analyze(str(path))) == [(1, theorem_check(EXAMPLE_22))]
 
     def test_whole_mode_keeps_newlines_inside(self, tmp_path):
         path = tmp_path / "whole.txt"
         path.write_text("aababa\nabab\n")
-        (report,) = corpus_analyze(str(path), "whole")
-        assert report.word == "aababa\nabab"
+        ((n, report),) = corpus_analyze(str(path), "whole")
+        assert (n, report.word) == (1, "aababa\nabab")
 
     def test_blank_lines_and_crlf(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"aa\r\n\r\nbb\n")
-        reports = list(corpus_analyze(str(path)))
-        assert [r.word for r in reports] == ["aa", "bb"]
+        units = corpus_analyze(str(path))
+        assert [(n, r.word) for n, r in units] == [(1, "aa"), (3, "bb")]
 
     def test_crlf_blank_line_and_unterminated_last_line(self, tmp_path):
         path = tmp_path / "mixed.txt"
         path.write_bytes(b"aababa\r\n\r\nabab\nbaab")
-        reports = list(corpus_analyze(str(path)))
-        assert [r.word for r in reports] == ["aababa", "abab", "baab"]
-        assert reports == [theorem_check(w) for w in ("aababa", "abab", "baab")]
+        assert list(corpus_analyze(str(path))) == [
+            (n, theorem_check(w)) for n, w in ((1, "aababa"), (3, "abab"), (4, "baab"))]
         # blank lines keep their number, and the last line counts too
         path.write_bytes(b"aa\r\n\r\n" + b"a" * 50)
         with pytest.raises(CorpusError, match="unit 3 has 50 bytes, cap is 49"):
@@ -364,8 +362,8 @@ class TestCorpus:
     def test_whole_mode_drops_one_trailing_newline(self, tmp_path, data, word):
         path = tmp_path / "whole.txt"
         path.write_bytes(data)
-        reports = corpus_analyze(str(path), "whole", max_unit_len=8)
-        assert [r.word for r in reports] == ([word] if word else [])
+        units = corpus_analyze(str(path), "whole", max_unit_len=8)
+        assert [(n, r.word) for n, r in units] == ([(1, word)] if word else [])
 
     def test_whole_mode_cap_counts_past_what_it_keeps(self, tmp_path):
         path = tmp_path / "whole.txt"
@@ -389,13 +387,13 @@ class TestCorpus:
                 list(corpus_analyze(str(path), max_unit_len=cap))
             assert str(exc.value) == f"unit 2 has {len(unit)} bytes, cap is {cap}"
         else:
-            reports = corpus_analyze(str(path), max_unit_len=cap)
-            assert [r.word for r in reports] == [unit.decode("latin-1")]
+            units = corpus_analyze(str(path), max_unit_len=cap)
+            assert [(n, r.word) for n, r in units] == [(2, unit.decode("latin-1"))]
 
     def test_bytes_map_to_symbols(self, tmp_path):
         path = tmp_path / "bytes.txt"
         path.write_bytes(bytes([0xE9, 0xE9, 0x61, 0x61]) + b"\n")
-        (report,) = corpus_analyze(str(path))
+        ((_, report),) = corpus_analyze(str(path))
         assert report.alphabet_size == 2
         assert report.nonempty_squares == 2
 
