@@ -30,14 +30,12 @@ from .rauzy import (
     is_weakly_connected,
 )
 from .squares import (
-    ClassCoordinates,
     Square,
     SquareClass,
     class_representative,
     distinct_squares,
     rebuild_from_coordinates,
     square_classes,
-    square_coordinates,
 )
 from .verifier import (
     CorpusError,
@@ -85,9 +83,8 @@ __all__ = [
     "InjectionReport", "build_injection", "inject_class",
     "RauzyEdge", "RauzyGraph", "VectorCycle", "build_rauzy",
     "cyclomatic_number", "is_weakly_connected",
-    "ClassCoordinates", "Square", "SquareClass", "class_representative",
-    "distinct_squares", "rebuild_from_coordinates", "square_classes",
-    "square_coordinates",
+    "Square", "SquareClass", "class_representative", "distinct_squares",
+    "rebuild_from_coordinates", "square_classes",
     "CorpusError", "SearchSummary", "TheoremReport", "WordAnalysis",
     "analyze", "canonical_count", "canonical_words", "corpus_analyze",
     "dot_digraph", "exhaustive_search", "json_document", "theorem_check",

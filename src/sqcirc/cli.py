@@ -12,7 +12,7 @@ from itertools import groupby
 from .circuits import circuit_blocks, circuit_order_ranges
 from .injection import build_injection
 from .rauzy import build_rauzy
-from .squares import distinct_squares, square_classes
+from .squares import class_rows, distinct_squares
 from .verifier import (
     CorpusError,
     WordAnalysis,
@@ -106,7 +106,7 @@ def _cmd_squares(args, order) -> int:
 
 
 def _cmd_classes(args, order) -> int:
-    print("\n".join(class_table(square_classes(args.word))))
+    print("\n".join(class_table(class_rows(distinct_squares(args.word)))))
     return OK
 
 

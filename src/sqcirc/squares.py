@@ -1,9 +1,10 @@
 """Distinct square factors and their conjugacy classes.
 
 A square is a factor uu. Squares are grouped by the conjugacy class of the
-primitive root of the half u; each class carries an index, a canonical root
-and per-member coordinates (i, j) with uu = v_s(i) v^{2j-1} v_p(i), i.e. the
-member is rotation(v, i)^{2j}.
+primitive root of the half u. One pass, class_rows, gives each class its
+index, its root v and every member's coordinates (i, j), from which
+rebuild_from_coordinates rebuilds the member; square_classes is the
+SquareClass view of those rows.
 """
 from __future__ import annotations
 
@@ -23,12 +24,6 @@ class Square:
     def __post_init__(self) -> None:
         if not self.half or self.word != self.half * 2:
             raise ValueError("a square is half + half with a nonempty half")
-
-
-@dataclass(frozen=True)
-class ClassCoordinates:
-    i: int
-    j: int
 
 
 @dataclass(frozen=True)
@@ -135,19 +130,31 @@ def class_representative(w: str, any_root: str) -> str:
 
 
 def square_classes(w: str) -> list[SquareClass]:
-    """Partition of distinct_squares(w) by conjugacy of the half's root."""
-    return group_classes(distinct_squares(w))
+    """Partition of distinct_squares(w) by conjugacy of the half's root.
+
+    The SquareClass view of class_rows: classes sorted by (root length,
+    root) under the default order, each with its index and least qualifying
+    root.
+    """
+    return [SquareClass(v, index, frozenset(sq for sq, _, _ in members))
+            for v, index, _, members in class_rows(distinct_squares(w))]
 
 
 def class_rows(squares) -> list[tuple[str, int, str, list[tuple[Square, int, int]]]]:
     """One pass over the distinct squares of a word: a row per square class.
 
-    A row is (root, index, canon, members): the class root and index as
-    group_classes names them, canon the root's least rotation (the root of
-    the class's circuits), and members the (square, i, j) of every member,
-    sorted by word, with its coordinates (see square_coordinates). Rows are
-    sorted by (root length, root). Each member's primitive root is computed
-    once, and each class's least rotation once.
+    A row is (root, index, canon, members): the class root v and index (see
+    below), canon the root's least rotation (the root of the class's
+    circuits), and members the (square, i, j) of every member, sorted by
+    word. Rows are sorted by (root length, root). Each member's primitive
+    root is computed once, and each class's least rotation once.
+
+    The coordinates of a member uu are the (i, j) with
+    uu = v_s(i) v^{2j-1} v_p(i), that is uu = rotation(v, i)^{2j}, with
+    1 <= i <= |v| and j >= 1; rebuild_from_coordinates is their inverse.
+    They are unique because v is primitive: j is the exponent of u's
+    primitive root, and i - 1 the one offset below |v| at which that root
+    occurs in vv, since a primitive word equals none of its other rotations.
 
     Lemma: in one class, word order is Square order. Proof sketch: the
     halves are powers of rotations of one length l; if one half is a prefix
@@ -180,42 +187,7 @@ def class_rows(squares) -> list[tuple[str, int, str, list[tuple[Square, int, int
     return rows
 
 
-def group_classes(squares, rows=None) -> list[SquareClass]:
-    """Partition the distinct squares of a word by conjugacy of the half's root.
-
-    The SquareClass view of class_rows(squares): classes sorted by (root
-    length, root) under the default order, each with its index and least
-    qualifying root (see class_rows). rows is class_rows(squares) if the
-    caller has it; the result is the same either way.
-    """
-    if rows is None:
-        rows = class_rows(squares)
-    return [SquareClass(v, index, frozenset(sq for sq, _, _ in members))
-            for v, index, _, members in rows]
-
-
-def square_coordinates(sq: Square, cls: SquareClass) -> ClassCoordinates:
-    """The unique (i, j) with sq.word == v_s(i) v^{2j-1} v_p(i), v = cls.root.
-
-    Equivalently sq.word == rotation(v, i)^{2j}; uniqueness holds because v
-    is primitive.
-    """
-    if sq not in cls.members:
-        raise ValueError("square does not belong to this class")
-    v = cls.root
-    q, j = primitive_root(sq.half)
-    doubled = v + v
-    off = doubled.find(q)
-    if off < 0 or len(q) != len(v):
-        raise ValueError("class root is not conjugate to the square's root")
-    return ClassCoordinates(off + 1, j)
-
-
-def rebuild_from_coordinates(v: str, coords: ClassCoordinates) -> str:
-    """v_s(i) v^{2j-1} v_p(i): the square named by class-root coordinates."""
-    return _rebuild(v, coords.i, coords.j)
-
-
-def _rebuild(v: str, i: int, j: int) -> str:
-    # rebuild_from_coordinates(v, ClassCoordinates(i, j)), without the record
+def rebuild_from_coordinates(v: str, i: int, j: int) -> str:
+    """v_s(i) v^{2j-1} v_p(i): the square with coordinates (i, j) in the
+    class of root v (see class_rows)."""
     return v[i - 1:] + v * (2 * j - 1) + v[:i - 1]

@@ -26,12 +26,10 @@ from .injection import InjectionReport, audit_injection, class_images
 from .rauzy import RauzyGraph, build_rauzy
 from .squares import (
     Square,
-    SquareClass,
-    _rebuild,
     class_rows,
     distinct_squares,
-    group_classes,
     period_runs,
+    rebuild_from_coordinates,
 )
 from .words import (
     NATURAL,
@@ -106,9 +104,10 @@ class WordAnalysis:
     and the complexity profile are computed up front; they are all the
     theorem report needs. The rest is computed on first use: the class rows
     of squares.class_rows and their images under injection.class_images,
-    which the invariant battery reads as plain tuples, and the SquareClass
-    view, InjectionReport and TheoremReport, which only the reports read.
-    The reports list the circuits through circuit_blocks.
+    which the invariant battery reads as plain tuples, and the
+    InjectionReport and TheoremReport, which only the reports read. The
+    reports render the classes from the rows and list the circuits through
+    circuit_blocks.
     """
 
     word: str
@@ -143,10 +142,6 @@ class WordAnalysis:
     def images(self) -> list[tuple[Square, str, int]]:
         """The (square, circuit root, order) images of injection.class_images."""
         return class_images(self.rows)
-
-    @_lazy
-    def classes(self) -> list[SquareClass]:
-        return group_classes(self.squares, self.rows)
 
     @_lazy
     def injection(self) -> InjectionReport:
@@ -194,7 +189,7 @@ class WordAnalysis:
                        if (circ.root, circ.order) not in existing)
         for v, _, _, members in self.rows:
             for sq, i, j in members:
-                if _rebuild(v, i, j) != sq.word:
+                if rebuild_from_coordinates(v, i, j) != sq.word:
                     bad.append(f"{w}: coordinates ({i},{j}) do not rebuild {sq.word}")
         if len(set(pairs)) != len(pairs):
             bad.append(f"{w}: injection images collide")
@@ -261,10 +256,10 @@ class WordAnalysis:
             objects([f'\n    {{\n      "half": {quote(s.half)},\n      "word": '
                      f'{quote(s.word)}\n    }}' for s in sorted(self.squares)]),
             ',\n  "classes": ',
-            objects([f'\n    {{\n      "root": {quote(c.root)},\n      "index": '
-                     f'{c.index},\n      "members": [\n        '
-                     f'{block(sorted(m.word for m in c.members))}\n      ]\n    }}'
-                     for c in self.classes]),
+            objects([f'\n    {{\n      "root": {quote(v)},\n      "index": '
+                     f'{index},\n      "members": [\n        '
+                     f'{block([sq.word for sq, _, _ in members])}\n      ]\n    }}'
+                     for v, index, _, members in self.rows]),
             ',\n  "circuits": ['])
         circuits = []
         for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, block):
@@ -294,7 +289,7 @@ class WordAnalysis:
         out.append(f"nonempty squares ({report.nonempty_squares}): "
                    + ", ".join(s.word for s in sorted(self.squares)))
         out.append("classes:")
-        out.extend("  " + row for row in class_table(self.classes))
+        out.extend("  " + row for row in class_table(self.rows))
         out.append(f"small circuits ({report.small_circuit_total}):")
         for r, row in groupby(circuit_blocks(self.ranges, order, lambda _: None),
                               key=lambda c: c[1]):
@@ -314,11 +309,12 @@ class WordAnalysis:
         return "\n".join(out) + "\n"
 
 
-def class_table(classes: list[SquareClass]) -> list[str]:
-    """The rows of the square-class table, header first."""
+def class_table(rows) -> list[str]:
+    """The lines of the square-class table of squares.class_rows' rows,
+    header first."""
     return ["root | index | size | members"] + [
-        f"{c.root} | {c.index} | {len(c.members)} | "
-        + ", ".join(sorted(m.word for m in c.members)) for c in classes]
+        f"{v} | {index} | {len(members)} | " + ", ".join(sq.word for sq, _, _ in members)
+        for v, index, _, members in rows]
 
 
 def theorem_check(w: str) -> TheoremReport:

@@ -41,6 +41,20 @@ def squares_scan(w: str) -> set[str]:
             if w[i:i + h] == w[i + h:i + 2 * h]}
 
 
+def coordinates_oracle(v: str, word: str) -> tuple[int, int]:
+    """The coordinates (i, j) of the square word in the class of root v.
+
+    Tries every i in 1..|v| and every j >= 1 short enough to fit, keeps the
+    pairs with word == rotation(v, i)^(2j), and asserts that exactly one
+    does.
+    """
+    found = [(i, j) for i in range(1, len(v) + 1)
+             for j in range(1, len(word) // (2 * len(v)) + 1)
+             if (v[i - 1:] + v[:i - 1]) * (2 * j) == word]
+    assert len(found) == 1, (v, word, found)
+    return found[0]
+
+
 def fibonacci(n: int) -> str:
     """The prefix of length n of the Fibonacci word abaababa..."""
     a, b = "a", "ab"

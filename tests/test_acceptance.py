@@ -23,10 +23,10 @@ from sqcirc.injection import build_injection
 from sqcirc.rauzy import build_rauzy
 from sqcirc.squares import (
     class_representative,
+    class_rows,
     distinct_squares,
     rebuild_from_coordinates,
     square_classes,
-    square_coordinates,
 )
 from sqcirc.verifier import canonical_count, canonical_words, exhaustive_search, theorem_check
 from sqcirc.words import (
@@ -244,8 +244,7 @@ def test_criterion_8_unary_closed_form(capsys):
 
 
 def _roundtrip_squares(w):
-    for cls in square_classes(w):
-        for sq in cls.members:
-            co = square_coordinates(sq, cls)
-            assert rebuild_from_coordinates(cls.root, co) == sq.word
+    for v, _, _, members in class_rows(distinct_squares(w)):
+        for sq, i, j in members:
+            assert rebuild_from_coordinates(v, i, j) == sq.word
 

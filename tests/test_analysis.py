@@ -151,11 +151,19 @@ class TestOncePerWord:
         forbid(monkeypatch, squares, "square_classes")
         forbid(monkeypatch, verifier, "class_rows")
         forbid(monkeypatch, verifier, "class_images")
-        forbid(monkeypatch, verifier, "group_classes")
         forbid(monkeypatch, verifier, "audit_injection")
         forbid(monkeypatch, SmallCircuit, "__post_init__")
         for w in ("aababa", EXAMPLE_22, "abcabcabcabca", "a" * 20):
             assert theorem_check(w).holds
+
+    @pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["classes"]])
+    def test_reports_build_no_square_class(self, monkeypatch, capsys, argv):
+        # the class table and the JSON classes render squares.class_rows
+        WordAnalysis.of.cache_clear()
+        forbid(monkeypatch, squares, "SquareClass")
+        for w in ("aababa", EXAMPLE_22, "abcabcabcabca", "ñaña"):
+            assert main([argv[0], w, *argv[1:]]) == 0
+        capsys.readouterr()
 
     def test_lazy_fields_are_computed_once(self, monkeypatch):
         analysis = WordAnalysis.of(EXAMPLE_22)
@@ -304,7 +312,6 @@ class TestFieldsMatchStandaloneFunctions:
         a = WordAnalysis.of(w)
         circuits = all_small_circuits(w)
         assert a.squares == distinct_squares(w)
-        assert a.classes == square_classes(w)
         assert a.counts == circuit_counts_by_order(w)
         assert a.existing == {(c.root, c.order) for c in circuits}
         assert a.injection == build_injection(w)

@@ -1,7 +1,8 @@
 """The JSON renderer against the document it replaced, byte for byte.
 
-The oracle builds the document as a dict, circuit by circuit from
-all_small_circuits with realize and maximal_edge, and json.dumps renders it;
+The oracle builds the document as a dict, its classes from square_classes
+and its circuits one by one from all_small_circuits with realize and
+maximal_edge, and json.dumps renders it;
 WordAnalysis.json_text renders it from templates, with the circuits from
 circuits.circuit_blocks' shared window blocks, and must give the same text,
 which `sqcirc check --json` writes in batches of its parts.
@@ -18,6 +19,7 @@ import pytest
 from sqcirc import cli
 from sqcirc.cli import main
 from sqcirc.circuits import all_small_circuits, maximal_edge, realize
+from sqcirc.squares import square_classes
 from sqcirc.verifier import WordAnalysis, analyze, canonical_words, json_document
 from sqcirc.words import NATURAL, SymbolOrder
 
@@ -32,7 +34,7 @@ def oracle_document(a: WordAnalysis, order: SymbolOrder) -> dict:
         "squares": [{"half": s.half, "word": s.word} for s in sorted(a.squares)],
         "classes": [{"root": c.root, "index": c.index,
                      "members": sorted(m.word for m in c.members)}
-                    for c in a.classes],
+                    for c in square_classes(w)],
         "circuits": [{"root": c.root, "order": c.order,
                       "vertices": sorted(real.vertices),
                       "edges": sorted(real.edges),

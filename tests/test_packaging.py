@@ -1,5 +1,7 @@
-"""The package's dependency boundary: the test oracles stay in tests/, and
-an import loads nothing that only a parallel sweep needs."""
+"""The package's boundary: the test oracles stay in tests/, an import loads
+nothing that only a parallel sweep needs, and __all__ lists exactly the
+public functions and classes that sqcirc binds."""
+import inspect
 import os
 import pathlib
 import subprocess
@@ -25,3 +27,15 @@ def test_import_loads_no_test_oracle():
 
 def test_import_loads_no_multiprocessing():
     assert loaded_by_import("multiprocessing") == "[]\n"
+
+
+def test_every_exported_name_resolves_once():
+    assert len(sqcirc.__all__) == len(set(sqcirc.__all__))
+    assert [name for name in sqcirc.__all__ if not hasattr(sqcirc, name)] == []
+
+
+def test_every_public_function_and_class_is_exported():
+    public = {name for name, value in vars(sqcirc).items()
+              if not name.startswith("_")
+              and (inspect.isfunction(value) or inspect.isclass(value))}
+    assert public - set(sqcirc.__all__) == set()

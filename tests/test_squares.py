@@ -4,22 +4,21 @@ import random
 import pytest
 
 from sqcirc.squares import (
-    ClassCoordinates,
     Square,
     class_representative,
+    class_rows,
     distinct_squares,
     match_runs,
     period_runs,
     rebuild_from_coordinates,
     square_classes,
-    square_coordinates,
     _encode,
 )
 from sqcirc.circuits import circuit_order_ranges
 from sqcirc.verifier import canonical_words
 from sqcirc.words import conjugacy_class, factors, longest_repeated_factor, rotation
 
-from oracles import fibonacci, squares_scan, thue_morse
+from oracles import coordinates_oracle, fibonacci, random_word, squares_scan, thue_morse
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
 EXAMPLE_22_SQUARES = {
@@ -260,39 +259,42 @@ class TestClassRepresentative:
 
 
 class TestCoordinates:
+    def test_rows_match_coordinate_oracle(self):
+        rng = random.Random(30)
+        words = [w for size, top in ((2, 10), (3, 7))
+                 for n in range(1, top + 1) for w in canonical_words(size, n)]
+        words += [random_word(rng, "abcd"[:rng.randint(1, 4)], 1, 30) for _ in range(300)]
+        for w in words:
+            for v, _, _, members in class_rows(distinct_squares(w)):
+                for sq, i, j in members:
+                    assert (i, j) == coordinates_oracle(v, sq.word), w
+
+    @staticmethod
+    def coordinates(w: str, word: str) -> tuple[str, int, int]:
+        # the class root and coordinates that class_rows gives the square word
+        return next((v, i, j) for v, _, _, members in class_rows(distinct_squares(w))
+                    for sq, i, j in members if sq.word == word)
+
     def test_deep_square_of_rotated_root(self):
-        classes = square_classes("abcabcabcabca")
-        cls = classes[0]
-        sq = next(m for m in cls.members if m.word == "bcabcabcabca")
-        assert square_coordinates(sq, cls) == ClassCoordinates(2, 2)
+        assert self.coordinates("abcabcabcabca", "bcabcabcabca") == ("abc", 2, 2)
 
     def test_aligned_square(self):
-        cls = square_classes("abcabcabcabca")[0]
-        sq = next(m for m in cls.members if m.word == "abcabc")
-        assert square_coordinates(sq, cls) == ClassCoordinates(1, 1)
+        assert self.coordinates("abcabcabcabca", "abcabc") == ("abc", 1, 1)
 
     def test_offset_square(self):
-        cls = next(c for c in square_classes("aababa") if c.root == "ab")
-        sq = next(m for m in cls.members if m.word == "baba")
-        assert square_coordinates(sq, cls) == ClassCoordinates(2, 1)
-
-    def test_membership_required(self):
-        cls = square_classes("aababa")[0]
-        with pytest.raises(ValueError):
-            square_coordinates(Square("xy", "xyxy"), cls)
+        assert self.coordinates("aababa", "baba") == ("ab", 2, 1)
 
     def test_round_trip_everywhere(self):
         rng = random.Random(29)
         for _ in range(300):
             w = "".join(rng.choice("ab") for _ in range(rng.randint(1, 24)))
-            for cls in square_classes(w):
-                for sq in cls.members:
-                    co = square_coordinates(sq, cls)
-                    assert 1 <= co.i <= len(cls.root)
-                    assert 1 <= co.j <= cls.index
-                    assert rebuild_from_coordinates(cls.root, co) == sq.word
-                    assert sq.word == rotation(cls.root, co.i) * (2 * co.j)
+            for v, index, _, members in class_rows(distinct_squares(w)):
+                for sq, i, j in members:
+                    assert 1 <= i <= len(v)
+                    assert 1 <= j <= index
+                    assert rebuild_from_coordinates(v, i, j) == sq.word
+                    assert sq.word == rotation(v, i) * (2 * j)
 
     def test_rebuild_formula(self):
-        assert rebuild_from_coordinates("ab", ClassCoordinates(2, 1)) == "baba"
-        assert rebuild_from_coordinates("abc", ClassCoordinates(1, 2)) == "abcabcabcabc"
+        assert rebuild_from_coordinates("ab", 2, 1) == "baba"
+        assert rebuild_from_coordinates("abc", 1, 2) == "abcabcabcabc"
