@@ -9,10 +9,8 @@ import argparse
 import sys
 from itertools import groupby
 
-from .circuits import circuit_blocks, circuit_order_ranges
-from .injection import build_injection
+from .circuits import circuit_blocks
 from .rauzy import build_rauzy
-from .squares import class_rows, distinct_squares
 from .verifier import (
     CorpusError,
     WordAnalysis,
@@ -100,13 +98,13 @@ def _order_of(args) -> SymbolOrder:
 
 
 def _cmd_squares(args, order) -> int:
-    for sq in sorted(distinct_squares(args.word), key=lambda s: (len(s.word), s.word)):
+    for sq in sorted(WordAnalysis(args.word).squares, key=lambda s: (len(s.word), s.word)):
         print(f"{sq.word} = ({sq.half})^2")
     return OK
 
 
 def _cmd_classes(args, order) -> int:
-    print("\n".join(class_table(class_rows(distinct_squares(args.word)))))
+    print("\n".join(class_table(WordAnalysis(args.word).rows)))
     return OK
 
 
@@ -127,7 +125,7 @@ def _cmd_rauzy(args, order) -> int:
 
 def _cmd_circuits(args, order) -> int:
     w, n = args.word, args.n
-    ranges = circuit_order_ranges(w)
+    ranges = WordAnalysis(w).ranges
     if n is not None:
         if not 1 <= n <= len(w):
             raise ValueError(f"graph order {n} out of range 1..{len(w)}")
@@ -139,7 +137,7 @@ def _cmd_circuits(args, order) -> int:
 
 
 def _cmd_inject(args, order) -> int:
-    report = build_injection(args.word)
+    report = WordAnalysis(args.word).injection
     for sq, circ in report.assignments:
         print(f"{sq.word} -> {circ}")
     print(f"injective: {report.injective}, images exist: {report.all_images_exist}, "
@@ -148,7 +146,7 @@ def _cmd_inject(args, order) -> int:
 
 
 def _cmd_check(args, order) -> int:
-    analysis = WordAnalysis.of(args.word)
+    analysis = WordAnalysis(args.word)
     report, bad = analysis.report, analysis.violations
     if args.json:  # in batches, so neither the text nor its bytes are held whole
         batch, size = [], 0

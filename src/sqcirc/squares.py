@@ -123,9 +123,9 @@ def class_representative(w: str, any_root: str) -> str:
     """
     if not is_primitive(any_root):
         raise ValueError("root must be primitive")
-    for cls in square_classes(w):
-        if len(cls.root) == len(any_root) and cls.root in any_root + any_root:
-            return cls.root
+    for v, _, _, _ in class_rows(distinct_squares(w)):
+        if len(v) == len(any_root) and v in any_root + any_root:
+            return v
     raise ValueError(f"no square of class [{any_root}] occurs in the word")
 
 

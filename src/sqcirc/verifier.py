@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
@@ -84,10 +83,7 @@ class _lazy:
     this non-data descriptor."""
 
     def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -98,31 +94,37 @@ class _lazy:
 
 @dataclass(frozen=True)
 class WordAnalysis:
-    """Everything the bound's chain knows about one word, computed once.
-
-    Squares and circuit order ranges (both read off one period_runs scan)
-    and the complexity profile are computed up front; they are all the
-    theorem report needs. The rest is computed on first use: the class rows
-    of squares.class_rows and their images under injection.class_images,
-    which the invariant battery reads as plain tuples, and the
-    InjectionReport and TheoremReport, which only the reports read. The
-    reports render the classes from the rows and list the circuits through
-    circuit_blocks.
+    """Everything the bound's chain knows about one word: a frozen record of
+    the word alone, each field computed on first use and kept, so a report
+    pays only for what it renders. The squares and the circuit order ranges
+    are read off one period_runs scan, held until both have read it. The
+    class rows of squares.class_rows and their images under
+    injection.class_images feed the invariant battery as plain tuples. Only
+    the reports read the InjectionReport and the TheoremReport, and only the
+    TheoremReport needs a nonempty word. The reports render the classes from
+    the rows and list the circuits through circuit_blocks.
     """
 
     word: str
-    squares: frozenset[Square]
-    ranges: dict[str, tuple[int, int]]
-    profile: tuple[int, ...]
 
-    @classmethod
-    @lru_cache(maxsize=1)  # the sweep reads the analysis verify_word just built
-    def of(cls, w: str) -> "WordAnalysis":
-        if not w:
-            raise ValueError("the bound is about nonempty words")
-        profile = complexity_profile(w)
-        runs = period_runs(w, _profile_lrf(profile))
-        return cls(w, distinct_squares(w, runs), circuit_order_ranges(w, runs), profile)
+    @_lazy
+    def profile(self) -> tuple[int, ...]:
+        return complexity_profile(self.word)
+
+    def _runs_for(self, other: str) -> list[list[tuple[int, int]]]:
+        # period_runs(w) for squares or ranges, held until other has read it too
+        stored = self.__dict__
+        if "_runs" not in stored:
+            stored["_runs"] = period_runs(self.word, _profile_lrf(self.profile))
+        return stored.pop("_runs") if other in stored else stored["_runs"]
+
+    @_lazy
+    def squares(self) -> frozenset[Square]:
+        return distinct_squares(self.word, self._runs_for("ranges"))
+
+    @_lazy
+    def ranges(self) -> dict[str, tuple[int, int]]:
+        return circuit_order_ranges(self.word, self._runs_for("squares"))
 
     @_lazy
     def existing(self) -> frozenset[tuple[str, int]]:
@@ -149,6 +151,8 @@ class WordAnalysis:
 
     @_lazy
     def report(self) -> TheoremReport:
+        if not self.word:
+            raise ValueError("the bound is about nonempty words")
         w, counts, prof = self.word, self.counts, self.profile
         nonempty, alph = len(self.squares), len(set(w))
         bound = len(w) - alph + 1
@@ -214,10 +218,6 @@ class WordAnalysis:
                 if _edge_rank(edges) != len(edges):
                     bad.append(f"{w}: order {r} circuits are linearly dependent")
         return tuple(bad)
-
-    def document(self, order: SymbolOrder) -> dict:
-        """The JSON document; see json_document."""
-        return json.loads(self.json_text(order))
 
     def json_text(self, order: SymbolOrder) -> str:
         """The JSON document as json.dumps(document, indent=2) renders it, plus
@@ -324,7 +324,7 @@ def theorem_check(w: str) -> TheoremReport:
     >>> (r.nonempty_squares, r.small_circuit_total, r.bound, r.holds)
     (3, 3, 5, True)
     """
-    return WordAnalysis.of(w).report
+    return WordAnalysis(w).report
 
 
 def verify_word(w: str) -> list[str]:
@@ -335,7 +335,7 @@ def verify_word(w: str) -> list[str]:
     square, agreement of the two circuit engines at every order either one
     reports, distinct maximal edges per graph, and linear independence.
     """
-    return list(WordAnalysis.of(w).violations) if w else []
+    return list(WordAnalysis(w).violations)
 
 
 def canonical_words(alphabet_size: int, length: int, prefix: str = ""):
@@ -404,8 +404,9 @@ def _sweep_lengths(alphabet_size: int, lengths, prefix: str = ""):
     for n in lengths:
         for w in canonical_words(alphabet_size, n, prefix):
             checked += 1
-            violations.extend(verify_word(w))
-            _offer(best, witnesses, n, len(WordAnalysis.of(w).squares), [w])
+            analysis = WordAnalysis(w)
+            violations.extend(analysis.violations)
+            _offer(best, witnesses, n, len(analysis.squares), [w])
     return checked, violations, best, witnesses
 
 
@@ -454,7 +455,7 @@ def json_document(w: str, order: SymbolOrder = NATURAL) -> dict:
     """The machine-readable analysis of one word, with stable field names:
     WordAnalysis.json_text, the text `sqcirc check --json` prints, parsed."""
     order.check_covers(w)
-    return WordAnalysis.of(w).document(order)
+    return json.loads(WordAnalysis(w).json_text(order))
 
 
 def _dot_quote(s: str) -> str:
@@ -478,9 +479,9 @@ def analyze(w: str, emit: str = "report", order: SymbolOrder = NATURAL,
     """Render one word as a text report, DOT digraphs, or a JSON document."""
     order.check_covers(w)
     if emit == "report":
-        return WordAnalysis.of(w).text(order)
+        return WordAnalysis(w).text(order)
     if emit == "json":
-        return WordAnalysis.of(w).json_text(order)
+        return WordAnalysis(w).json_text(order)
     if emit == "dot":
         if r is None:
             raise ValueError("dot output needs a graph order or 'all'")

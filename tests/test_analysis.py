@@ -21,9 +21,11 @@ from sqcirc.squares import distinct_squares, period_runs, square_classes
 from sqcirc.verifier import (
     TheoremReport,
     WordAnalysis,
+    analyze,
     canonical_count,
     canonical_words,
     exhaustive_search,
+    json_document,
     theorem_check,
     verify_word,
 )
@@ -48,10 +50,10 @@ def count_calls(monkeypatch, *functions) -> Counter:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls to the four up-front engines: the period runs, and the
-    squares and circuit ranges read off them, and the complexity profile;
-    and to the suffix array, which the profile builds and LRF is read off."""
-    WordAnalysis.of.cache_clear()
+    """Count calls to the engines that WordAnalysis's fields are read off:
+    the period runs, the squares and circuit ranges read off them, and the
+    complexity profile; and to the suffix array, which the profile builds
+    and LRF is read off."""
     return count_calls(monkeypatch, period_runs, distinct_squares,
                        circuit_order_ranges, complexity_profile, words._suffix_array)
 
@@ -74,10 +76,14 @@ class TestOncePerWord:
 
     @pytest.mark.parametrize("command", ["inject", "classes", "squares", "circuits"])
     def test_word_commands_scan_once(self, calls, capsys, command):
+        # each command reads only the engines its fields need
+        read = {"inject": ["distinct_squares", "circuit_order_ranges"],
+                "classes": ["distinct_squares"], "squares": ["distinct_squares"],
+                "circuits": ["circuit_order_ranges"]}[command]
         assert main([command, EXAMPLE_22 * 3]) == 0
         capsys.readouterr()
-        assert calls["period_runs"] == 1
-        assert calls["_suffix_array"] == 1
+        assert calls == dict.fromkeys(
+            ["period_runs", "complexity_profile", "_suffix_array", *read], 1)
 
     @pytest.mark.parametrize("command,w", [("check", fibonacci(300)),
                                            ("circuits", EXAMPLE_22 * 3)],
@@ -85,7 +91,6 @@ class TestOncePerWord:
     def test_one_maximal_edge_per_circuit(self, monkeypatch, capsys, command, w):
         # the listing finds each root's greatest rotation once and reads every
         # maximal edge off it; the battery reads them off the edge sets
-        WordAnalysis.of.cache_clear()
         counts = count_calls(monkeypatch, circuits.maximal_edge)
         greatest, extremal = Counter(), words.extremal_rotation
 
@@ -103,7 +108,6 @@ class TestOncePerWord:
     def test_one_least_rotation_per_class(self, monkeypatch, capsys):
         # class_rows names each class once, and the classes, the injection
         # and the battery all read its rows
-        WordAnalysis.of.cache_clear()
         w = fibonacci(300)
         classes = len(square_classes(w))
         counts = count_calls(monkeypatch, words.least_rotation)
@@ -112,7 +116,6 @@ class TestOncePerWord:
         assert counts["least_rotation"] == classes
 
     def test_sweep_words_name_each_class_once(self, monkeypatch):
-        WordAnalysis.of.cache_clear()
         sweep = [w for n in range(1, 11) for w in canonical_words(2, n)]
         classes = sum(len(square_classes(w)) for w in sweep)
         counts = count_calls(monkeypatch, words.least_rotation)
@@ -122,7 +125,6 @@ class TestOncePerWord:
 
     def test_check_scans_each_lag_once(self, monkeypatch, capsys):
         # one match_runs call per lag 1..LRF, shared by squares and circuits
-        WordAnalysis.of.cache_clear()
         w = fibonacci(300)
         counts = count_calls(monkeypatch, squares.match_runs)
         assert main(["check", w]) == 0
@@ -133,17 +135,18 @@ class TestOncePerWord:
         summary = exhaustive_search(2, 8)
         words = sum(canonical_count(2, n) for n in range(1, 9))
         assert summary.words_checked == words
-        assert calls["period_runs"] == words
-        assert calls["distinct_squares"] == words
-        assert calls["circuit_order_ranges"] == words
+        assert calls == dict.fromkeys(
+            ["period_runs", "distinct_squares", "circuit_order_ranges",
+             "complexity_profile", "_suffix_array"], words)
 
-    def test_sweep_verifies_through_verify_word(self, monkeypatch):
+    def test_sweep_runs_the_battery_once_per_word(self, monkeypatch):
+        # the battery's direct engine runs once per word, on every word
         checked = Counter()
 
-        def counted(w, _original=verify_word):
+        def counted(w, profile, _original=verifier.direct_order_ranges):
             checked[w] += 1
-            return _original(w)
-        monkeypatch.setattr(verifier, "verify_word", counted)
+            return _original(w, profile)
+        monkeypatch.setattr(verifier, "direct_order_ranges", counted)
         summary = exhaustive_search(2, 8)
         assert len(checked) == summary.words_checked == sum(checked.values())
 
@@ -158,26 +161,33 @@ class TestOncePerWord:
 
     @pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["classes"]])
     def test_reports_build_no_square_class(self, monkeypatch, capsys, argv):
-        # the class table and the JSON classes render squares.class_rows
-        WordAnalysis.of.cache_clear()
+        # the class table, the JSON classes and class_representative read
+        # squares.class_rows
         forbid(monkeypatch, squares, "SquareClass")
         for w in ("aababa", EXAMPLE_22, "abcabcabcabca", "ñaña"):
             assert main([argv[0], w, *argv[1:]]) == 0
         capsys.readouterr()
+        assert squares.class_representative("abcabcabcabca", "bca") == "abc"
 
     def test_lazy_fields_are_computed_once(self, monkeypatch):
-        analysis = WordAnalysis.of(EXAMPLE_22)
+        analysis = WordAnalysis(EXAMPLE_22)
         first = analysis.injection
         forbid(monkeypatch, verifier, "audit_injection")
         assert analysis.injection is first
         assert analysis.violations == ()
+
+    def test_period_runs_kept_until_squares_and_ranges_read_them(self, calls):
+        analysis = WordAnalysis(EXAMPLE_22)
+        assert analysis.squares and "_runs" in vars(analysis)
+        assert analysis.ranges
+        assert set(vars(analysis)) == {"word", "profile", "squares", "ranges"}
+        assert calls["period_runs"] == 1
 
 
 class TestBattery:
     @staticmethod
     def fake_direct_engine(monkeypatch, edit):
         # the battery's direct engine reports the ranges edit makes of its own
-        WordAnalysis.of.cache_clear()
         original = verifier.direct_order_ranges
         monkeypatch.setattr(verifier, "direct_order_ranges",
                             lambda w, profile: edit(original(w, profile)))
@@ -190,19 +200,13 @@ class TestBattery:
     def test_enumerators_compared_as_sets(self, monkeypatch, found, counts):
         self.fake_direct_engine(monkeypatch, lambda ranges: {
             **{q: span for q, span in ranges.items() if q != "a"}, **found})
-        try:
-            assert verify_word("aababa") == [
-                f"aababa: order 1 enumerators disagree ({counts} vs 1 batched)"]
-        finally:  # the cached analysis holds the faked battery's verdict
-            WordAnalysis.of.cache_clear()
+        assert verify_word("aababa") == [
+            f"aababa: order 1 enumerators disagree ({counts} vs 1 batched)"]
 
     def test_order_only_the_direct_engine_reports(self, monkeypatch):
         self.fake_direct_engine(monkeypatch, lambda ranges: {**ranges, "b": (4, 4)})
-        try:
-            assert verify_word("aababa") == [
-                "aababa: order 4 enumerators disagree (1 direct vs 0 batched)"]
-        finally:
-            WordAnalysis.of.cache_clear()
+        assert verify_word("aababa") == [
+            "aababa: order 4 enumerators disagree (1 direct vs 0 batched)"]
 
     # at order 2 the faked root joins C(ab, 2), whose edges are aba and bab:
     # ba names the same class, so the edge sets are equal and the rank is 1;
@@ -214,12 +218,9 @@ class TestBattery:
         ("aab", [])])
     def test_maximal_edges_and_rank(self, monkeypatch, extra, messages):
         self.fake_direct_engine(monkeypatch, lambda ranges: {**ranges, extra: (2, 2)})
-        try:
-            assert verify_word("aababa") == [
-                "aababa: order 2 enumerators disagree (2 direct vs 1 batched)",
-                *(f"aababa: order 2 {m}" for m in messages)]
-        finally:
-            WordAnalysis.of.cache_clear()
+        assert verify_word("aababa") == [
+            "aababa: order 2 enumerators disagree (2 direct vs 1 batched)",
+            *(f"aababa: order 2 {m}" for m in messages)]
 
     @staticmethod
     def faked_battery(monkeypatch, target, name, fake) -> list[str]:
@@ -227,11 +228,7 @@ class TestBattery:
         # fake(original, *args)
         original = getattr(target, name)
         monkeypatch.setattr(target, name, lambda *args: fake(original, *args))
-        WordAnalysis.of.cache_clear()
-        try:
-            return verify_word("aababa")
-        finally:  # the cached analysis holds the faked battery's verdict
-            WordAnalysis.of.cache_clear()
+        return verify_word("aababa")
 
     def test_missing_image(self, monkeypatch):
         # the existing circuits lack C(ab,3), the image of baba
@@ -275,7 +272,6 @@ class TestBattery:
     def test_check_runs_no_per_order_enumeration_or_rank(self, monkeypatch, capsys):
         # distinct maximal edges settle the rank, and one engine call covers
         # every order
-        WordAnalysis.of.cache_clear()
         counts = count_calls(monkeypatch, circuits.small_circuits, circuits._edge_rank,
                              circuits.direct_order_ranges)
         assert main(["check", fibonacci(300)]) == 0
@@ -285,8 +281,6 @@ class TestBattery:
 
 class TestLeanBattery:
     def test_battery_builds_no_circuit_or_report(self, monkeypatch):
-        WordAnalysis.of.cache_clear()
-
         def fail(*args, **kwargs):
             raise AssertionError("_canonical_circuit was called")
         replace_everywhere(monkeypatch, circuits._canonical_circuit, fail)
@@ -309,7 +303,7 @@ class TestLeanBattery:
 class TestFieldsMatchStandaloneFunctions:
     @staticmethod
     def check(w: str) -> None:
-        a = WordAnalysis.of(w)
+        a = WordAnalysis(w)
         circuits = all_small_circuits(w)
         assert a.squares == distinct_squares(w)
         assert a.counts == circuit_counts_by_order(w)
@@ -331,13 +325,24 @@ class TestFieldsMatchStandaloneFunctions:
 
 
 class TestContract:
-    def test_empty_word_rejected(self):
-        with pytest.raises(ValueError, match="the bound is about nonempty words"):
-            WordAnalysis.of("")
+    def test_empty_word_rejected(self, capsys):
+        # only the theorem report needs a nonempty word, so every entry point
+        # that reports the bound rejects the empty one
+        for report in (lambda: WordAnalysis("").report, lambda: theorem_check(""),
+                       lambda: json_document(""), lambda: analyze(""),
+                       lambda: analyze("", "json")):
+            with pytest.raises(ValueError, match="the bound is about nonempty words"):
+                report()
+        assert main(["check", ""]) == main(["check", "", "--json"]) == 1
+        assert capsys.readouterr() == (
+            "", "sqcirc: error: the bound is about nonempty words\n" * 2)
 
     def test_empty_word_has_no_violations(self):
-        assert verify_word("") == []
+        a = WordAnalysis("")
+        assert verify_word("") == list(a.violations) == []
+        assert (a.squares, a.rows, a.ranges) == (frozenset(), [], {})
+        assert a.injection == build_injection("")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            WordAnalysis.of("aababa").word = "ab"
+            WordAnalysis("aababa").word = "ab"

@@ -76,25 +76,25 @@ def orders(w: str):
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_json_text_equals_oracle(group):
     for w in GROUPS[group]():
-        a = WordAnalysis.of(w)
+        a = WordAnalysis(w)
         for order in orders(w):
             expected = oracle_document(a, order)
             assert a.json_text(order) == json.dumps(expected, indent=2) + "\n", (w, order)
-            assert a.document(order) == expected, (w, order)
+            assert json.loads(a.json_text(order)) == expected, (w, order)
 
 
 def test_one_renderer_behind_every_json_path():
     for w in ESCAPED + [fibonacci(64)]:
         for order in orders(w):
-            text = WordAnalysis.of(w).json_text(order)
+            text = WordAnalysis(w).json_text(order)
             assert analyze(w, "json", order) == text
             assert json_document(w, order) == json.loads(text)
 
 
 def test_escaped_words_render_escapes():
-    text = WordAnalysis.of('a"b\\a"b\\').json_text(NATURAL)
+    text = WordAnalysis('a"b\\a"b\\').json_text(NATURAL)
     assert '"a\\"b\\\\a\\"b\\\\"' in text
-    assert "\\u00f1" in WordAnalysis.of("ñaña").json_text(NATURAL)
+    assert "\\u00f1" in WordAnalysis("ñaña").json_text(NATURAL)
 
 
 class TestCheckJson:
@@ -112,9 +112,8 @@ class TestCheckJson:
         monkeypatch.setattr(json, "dumps", counted("dumps", json.dumps))
         monkeypatch.setattr(json.JSONEncoder, "iterencode",
                             counted("iterencode", json.JSONEncoder.iterencode))
-        WordAnalysis.of.cache_clear()
         assert main(["check", w, "--json"]) == 0
-        assert capsys.readouterr().out == WordAnalysis.of(w).json_text(NATURAL)
+        assert capsys.readouterr().out == WordAnalysis(w).json_text(NATURAL)
         assert calls == []
 
     @pytest.mark.parametrize("batch", [1, cli.BATCH])
@@ -134,7 +133,7 @@ class TestCheckJson:
             monkeypatch.setattr(sys, "stdout", Recorder())
             flags = [] if order is NATURAL else ["--order", "".join(order.symbols)]
             assert main(["check", w, "--json", *flags]) == 0
-            assert sys.stdout.getvalue() == WordAnalysis.of(w).json_text(order), (w, order)
+            assert sys.stdout.getvalue() == WordAnalysis(w).json_text(order), (w, order)
             # every write but the last is a full batch; a batch of one
             # character writes each part on its own
             assert all(n >= batch for n in writes[:-1]), writes
@@ -146,13 +145,12 @@ class TestCheckJson:
         w = fibonacci(512)
         with open(os.devnull, "w") as devnull:
             monkeypatch.setattr(sys, "stdout", devnull)
-            WordAnalysis.of.cache_clear()
             tracemalloc.start()
             try:
                 assert main(["check", w, "--json"]) == 0
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        payload = len(WordAnalysis.of(w).json_text(NATURAL))
+        payload = len(WordAnalysis(w).json_text(NATURAL))
         assert payload > 17_000_000
         assert peak < payload, (peak, payload)

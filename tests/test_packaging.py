@@ -1,6 +1,8 @@
 """The package's boundary: the test oracles stay in tests/, an import loads
-nothing that only a parallel sweep needs, and __all__ lists exactly the
-public functions and classes that sqcirc binds."""
+nothing that only a parallel sweep needs, __all__ lists exactly the
+public functions and classes that sqcirc binds, and no module keeps a
+functools cache."""
+import ast
 import inspect
 import os
 import pathlib
@@ -39,3 +41,19 @@ def test_every_public_function_and_class_is_exported():
               if not name.startswith("_")
               and (inspect.isfunction(value) or inspect.isclass(value))}
     assert public - set(sqcirc.__all__) == set()
+
+
+def test_no_functools_cache():
+    # a cache's hidden state outlives the call that filled it; what the
+    # package computes once per word lives on that word's WordAnalysis
+    caches = {"lru_cache", "cache"}
+    used = []
+    for path in sorted((SRC / "sqcirc").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                used += [(path.name, alias.name) for alias in node.names
+                         if alias.name in caches]
+            elif (isinstance(node, ast.Attribute) and node.attr in caches
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                used.append((path.name, node.attr))
+    assert used == []
