@@ -182,6 +182,8 @@ def _cmd_search(args, order) -> int:
 
 
 def _cmd_corpus(args, order) -> int:
+    if args.max_unit_len < 1:
+        raise ValueError(f"--max-unit-len must be at least 1, got {args.max_unit_len}")
     mode = "per-line" if args.per_line else "whole"
     worst = None
     tightest = None

@@ -4,7 +4,8 @@ A square is a factor uu. Squares are grouped by the conjugacy class of the
 primitive root of the half u. One pass, class_rows, gives each class its
 index, its root v and every member's coordinates (i, j), from which
 rebuild_from_coordinates rebuilds the member; square_classes is the
-SquareClass view of those rows.
+SquareClass view of those rows. suffix_squares lists the squares that one
+more letter adds, for the sweep.
 """
 from __future__ import annotations
 
@@ -112,6 +113,25 @@ def distinct_squares(w: str, runs=None) -> frozenset[Square]:
             for p in range(s, s + min(rho, starts)):
                 found.add(w[p:p + 2 * half])
     return frozenset(Square(sq[:len(sq) // 2], sq) for sq in found)
+
+
+def suffix_squares(wa: str, m: int) -> list[Square]:
+    """The squares of wa that are not squares of w = wa[:-1], for m the
+    length of the longest suffix of wa that occurs in w.
+
+    Lemma (new squares): they are the square suffixes of wa longer than m,
+    and each has a half h with m < 2h and h <= m. Proof sketch: a new square
+    is a new factor, so a suffix longer than m (see words.extend_profile);
+    and the second half of a square suffix uu is a suffix of wa that also
+    ends at |wa| - h <= |w|, so it occurs in w. At most two squares are new
+    (the mirror of Fraenkel & Simpson's rightmost-occurrence lemma, JCTA
+    1998).
+
+    >>> [sq.word for sq in suffix_squares("aababa", 3)]
+    ['baba']
+    """
+    return [Square(wa[-h:], wa[-2 * h:]) for h in range(m // 2 + 1, min(m, len(wa) // 2) + 1)
+            if wa[-2 * h:-h] == wa[-h:]]
 
 
 def class_representative(w: str, any_root: str) -> str:

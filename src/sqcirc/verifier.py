@@ -19,6 +19,7 @@ from .circuits import (
     circuit_order_ranges,
     circuit_pairs,
     direct_order_ranges,
+    extend_order_ranges,
     order_counts,
 )
 from .injection import InjectionReport, audit_injection, class_images
@@ -29,12 +30,14 @@ from .squares import (
     distinct_squares,
     period_runs,
     rebuild_from_coordinates,
+    suffix_squares,
 )
 from .words import (
     NATURAL,
     SymbolOrder,
     _profile_lrf,
     complexity_profile,
+    extend_profile,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -103,9 +106,39 @@ class WordAnalysis:
     the reports read the InjectionReport and the TheoremReport, and only the
     TheoremReport needs a nonempty word. The reports render the classes from
     the rows and list the circuits through circuit_blocks.
+
+    An analysis is built either from its word alone, by the batch engines,
+    or by extend from the analysis of the word less its last letter, as the
+    sweep builds every word below its walk's root.
     """
 
     word: str
+
+    def extend(self, a: str) -> WordAnalysis:
+        """The analysis of word + a, its profile, squares and ranges extended
+        from this analysis's by the lemmas of words.extend_profile,
+        squares.suffix_squares and circuits.extend_order_ranges.
+
+        The class rows and their images are functions of the squares alone,
+        and the circuit pairs and counts of the ranges alone; so when the
+        child's squares (ranges) object is this one's, it reads this one's
+        rows and images (existing and counts), if computed.
+        """
+        w = self.word
+        wa, m = w + a, 0
+        while wa[-m - 1:] in w:  # m: the longest suffix of wa that occurs in w
+            m += 1
+        child = WordAnalysis(wa)
+        fields, mine = vars(child), vars(self)
+        fields["profile"] = extend_profile(self.profile, m)
+        new = suffix_squares(wa, m)
+        fields["squares"] = self.squares.union(new) if new else self.squares
+        ranges = fields["ranges"] = extend_order_ranges(self.ranges, wa, m)
+        shared = ("existing", "counts") if ranges is self.ranges else ()
+        if not new:
+            shared += ("rows", "images")
+        fields.update((key, mine[key]) for key in shared if key in mine)
+        return child
 
     @_lazy
     def profile(self) -> tuple[int, ...]:
@@ -343,30 +376,38 @@ def canonical_words(alphabet_size: int, length: int, prefix: str = ""):
 
     Canonical means the first occurrences of the distinct letters appear in
     the fixed order a, b, c, ... A prefix restricts the enumeration to its
-    subtree (the prefix must itself be canonical).
+    subtree (the prefix must itself be canonical). The words are those of
+    the given length on the sweep's walk, _canonical_walk.
     """
+    return (w for w in _canonical_walk(alphabet_size, prefix, prefix, length, str.__add__)
+            if len(w) == length)
+
+
+def _canonical_walk(alphabet_size: int, root, word: str, max_len: int, grow):
+    """The canonical word's node root, then every canonical word that
+    extends it, up to max_len letters, in preorder, so those of each length
+    in lexicographic order: each as the node grow(node of its parent,
+    letter) makes. The one growth rule: a word that uses the first `used`
+    letters continues with one of the first min(used + 1, alphabet_size)."""
     if alphabet_size < 1:
         raise ValueError("alphabet size must be positive")
     used = 0
-    for c in prefix:
+    for c in word:
         ix = LETTERS.index(c)
         if ix > used or ix >= alphabet_size:
-            raise ValueError(f"prefix {prefix!r} is not canonical")
+            raise ValueError(f"prefix {word!r} is not canonical")
         used = max(used, ix + 1)
-    if len(prefix) > length:
-        return
-    buf = list(prefix)
 
-    def rec(used: int):
-        if len(buf) == length:
-            yield "".join(buf)
-            return
+    def rec(node, n: int, used: int):
         for ci in range(min(used + 1, alphabet_size)):
-            buf.append(LETTERS[ci])
-            yield from rec(used if ci < used else used + 1)
-            buf.pop()
+            child = grow(node, LETTERS[ci])
+            yield child
+            if n < max_len:
+                yield from rec(child, n + 1, used if ci < used else used + 1)
 
-    yield from rec(used)
+    yield root
+    if len(word) < max_len:
+        yield from rec(root, len(word) + 1, used)
 
 
 def canonical_count(alphabet_size: int, length: int) -> int:
@@ -395,18 +436,35 @@ def _offer(best: dict, witnesses: dict, n: int, value: int, words) -> None:
         witnesses[n] = (witnesses[n] + list(words))[:16]
 
 
-def _sweep_lengths(alphabet_size: int, lengths, prefix: str = ""):
-    # shared by the serial and parallel paths
+def _sweep_lengths(alphabet_size: int, lengths: range, prefix: str = ""):
+    # one walk below prefix, shared by the serial and parallel paths: the
+    # root is analyzed by the batch engines, every other word is extended
+    # from its parent, and a word whose extension or check raises is
+    # recorded as a crash, its subtree continuing from WordAnalysis(w)
     checked = 0
     violations: list[str] = []
     best: dict[int, int] = {}
     witnesses: dict[int, list[str]] = {}
-    for n in lengths:
-        for w in canonical_words(alphabet_size, n, prefix):
-            checked += 1
-            analysis = WordAnalysis(w)
+
+    def check(w: str, make) -> WordAnalysis:
+        nonlocal checked
+        checked += 1
+        try:
+            analysis = make()
             violations.extend(analysis.violations)
-            _offer(best, witnesses, n, len(analysis.squares), [w])
+            _offer(best, witnesses, len(w), len(analysis.squares), [w])
+            return analysis
+        except Exception as exc:
+            violations.append(f"{w}: crash: {type(exc).__name__}: {exc}")
+            return WordAnalysis(w)
+
+    root = WordAnalysis(prefix)
+    if len(prefix) in lengths:
+        root = check(prefix, lambda: root)
+    for _ in _canonical_walk(alphabet_size, root, prefix, lengths.stop - 1,
+                             lambda parent, a: check(parent.word + a,
+                                                     lambda: parent.extend(a))):
+        pass
     return checked, violations, best, witnesses
 
 
@@ -414,10 +472,15 @@ def exhaustive_search(alphabet_size: int, max_len: int, jobs: int = 1,
                       max_words: int = 2_000_000) -> SearchSummary:
     """Verify every canonical word up to max_len; aggregate the results.
 
-    The word space is partitioned by canonical prefixes into independent
-    units, so the sweep parallelizes without shared state. The pool gets
-    min(jobs, CPU count, units) processes; when that is at most 1, the sweep
-    runs in this process.
+    The canonical words form a prefix tree, walked depth first: each word's
+    WordAnalysis is extended from its parent's (WordAnalysis.extend), so the
+    walk holds at most max_len analyses, and every word runs the whole
+    invariant battery. A word that raises is recorded as a crash violation,
+    and the sweep goes on. The word space is partitioned by canonical
+    prefixes into independent units, each walked from its prefix, so the
+    sweep parallelizes without shared state. The pool gets min(jobs, CPU
+    count, units) processes; when that is at most 1, the sweep runs in this
+    process.
     """
     if alphabet_size < 1 or max_len < 1:
         raise ValueError("alphabet size and maximum length must be positive")

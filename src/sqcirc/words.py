@@ -333,6 +333,25 @@ def complexity_profile(w: str) -> tuple[int, ...]:
     return tuple(prof)
 
 
+def extend_profile(profile: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """complexity_profile(wa) from profile = complexity_profile(w), for a
+    letter a and m the length of the longest suffix of wa that occurs in w.
+
+    Lemma (new factors): the factors of wa that are not factors of w are
+    exactly the suffixes of wa longer than m. Proof sketch: a factor that
+    avoids the last letter is a factor of w, and a suffix of one that
+    occurs in w occurs there too, so the suffixes that occur are those of
+    length at most m. Hence C_wa(k) = C_w(k) + [k > m] for k <= |w|, then
+    1 and 0; and LRF(wa) = max(LRF(w), m), as a factor repeated in wa but
+    not in w is a suffix of wa that also occurs in w.
+
+    >>> extend_profile(complexity_profile("aabab"), 3) == complexity_profile("aababa")
+    True
+    """
+    n = len(profile) - 2
+    return profile[:m + 1] + tuple(c + 1 for c in profile[m + 1:n + 1]) + (1, 0)
+
+
 def common_root(x: str, y: str) -> Optional[str]:
     """The primitive p with x, y both powers of p, if xy == yx; else None."""
     if not x or not y:

@@ -68,6 +68,15 @@ def thue_morse(n: int) -> str:
     return "".join("ab"[bin(i).count("1") % 2] for i in range(n))
 
 
+def tribonacci(n: int) -> str:
+    """The prefix of length n of the Tribonacci word abacaba..., the fixed
+    point of a -> ab, b -> ac, c -> a."""
+    w = "a"
+    while len(w) < n:
+        w = w.translate(str.maketrans({"a": "ab", "b": "ac", "c": "a"}))
+    return w[:n]
+
+
 def random_word(rng, letters: str, lo: int, hi: int) -> str:
     """A word over letters whose length is drawn from lo..hi."""
     return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))

@@ -14,10 +14,12 @@ from sqcirc.circuits import (
     all_small_circuits,
     circuit_counts_by_order,
     circuit_order_ranges,
+    circuit_pairs,
+    order_counts,
 )
 from sqcirc.cli import main
-from sqcirc.injection import InjectionReport, build_injection
-from sqcirc.squares import distinct_squares, period_runs, square_classes
+from sqcirc.injection import InjectionReport, build_injection, class_images
+from sqcirc.squares import class_rows, distinct_squares, period_runs, square_classes
 from sqcirc.verifier import (
     TheoremReport,
     WordAnalysis,
@@ -31,7 +33,7 @@ from sqcirc.verifier import (
 )
 from sqcirc.words import complexity_profile, longest_repeated_factor
 
-from oracles import fibonacci, replace_everywhere
+from oracles import fibonacci, random_word, replace_everywhere, squares_scan, thue_morse
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
 
@@ -131,13 +133,25 @@ class TestOncePerWord:
         capsys.readouterr()
         assert counts["match_runs"] == longest_repeated_factor(w)
 
-    def test_sweep_computes_squares_once_per_word(self, calls):
+    def test_sweep_computes_squares_once_per_word(self, monkeypatch, calls):
+        # the batch engines analyze each walk's root, and every other word is
+        # extended from its parent: once, serially or below a --jobs prefix
+        new = count_calls(monkeypatch, squares.suffix_squares)
         summary = exhaustive_search(2, 8)
         words = sum(canonical_count(2, n) for n in range(1, 9))
-        assert summary.words_checked == words
+        assert summary.words_checked == words == new["suffix_squares"]
+        # the empty root's profile needs no suffix array
+        assert calls == dict.fromkeys(["period_runs", "distinct_squares",
+                                       "circuit_order_ranges", "complexity_profile"], 1)
+        calls.clear()
+        new.clear()
+        roots = list(canonical_words(2, 6))
+        units = [verifier._sweep_lengths(2, range(6, 9), p) for p in roots]
+        words = sum(canonical_count(2, n) for n in range(6, 9))
+        assert sum(unit[0] for unit in units) == words == new["suffix_squares"] + len(roots)
         assert calls == dict.fromkeys(
             ["period_runs", "distinct_squares", "circuit_order_ranges",
-             "complexity_profile", "_suffix_array"], words)
+             "complexity_profile", "_suffix_array"], len(roots))
 
     def test_sweep_runs_the_battery_once_per_word(self, monkeypatch):
         # the battery's direct engine runs once per word, on every word
@@ -182,6 +196,72 @@ class TestOncePerWord:
         assert analysis.ranges
         assert set(vars(analysis)) == {"word", "profile", "squares", "ranges"}
         assert calls["period_runs"] == 1
+
+
+class TestIncrementalWalk:
+    @pytest.mark.parametrize("depth", [0, 6], ids=["serial", "jobs-prefixes"])
+    @pytest.mark.parametrize("k,max_len", [(2, 13), (3, 9)])
+    def test_extended_fields_equal_the_batch_engines(self, k, max_len, depth):
+        # every word the sweep's walk reaches, from the empty root or from
+        # each --jobs unit's prefix; the shared fields are read on each word
+        # before its children are extended, as the battery reads them
+        walked = 0
+        for root in canonical_words(k, depth):
+            for a in verifier._canonical_walk(k, WordAnalysis(root), root, max_len,
+                                              WordAnalysis.extend):
+                if a.word == root:
+                    continue
+                w, walked = a.word, walked + 1
+                assert a.profile == complexity_profile(w), w
+                assert a.squares == distinct_squares(w), w
+                assert {sq.word for sq in a.squares} == squares_scan(w), w
+                assert a.ranges == circuit_order_ranges(w), w
+                assert a.rows == class_rows(a.squares), w
+                assert a.images == class_images(a.rows), w
+                assert a.existing == circuit_pairs(a.ranges), w
+                assert a.counts == order_counts(a.ranges), w
+        assert walked == sum(canonical_count(k, n) for n in range(depth + 1, max_len + 1))
+
+    @pytest.mark.parametrize("w", [fibonacci(200), thue_morse(128), "a" * 40, "ab" * 30,
+                                   random_word(random.Random(5), "abc", 90, 90)],
+                             ids=["fib200", "tm128", "unary40", "ab30", "random-ternary90"])
+    def test_every_prefix_of_a_long_word(self, w):
+        a = WordAnalysis("")
+        for c in w:
+            a = a.extend(c)
+            x = a.word
+            assert a.profile == complexity_profile(x), x
+            assert a.squares == distinct_squares(x), x
+            assert a.ranges == circuit_order_ranges(x), x
+
+    @pytest.mark.parametrize("w,a,kept,rebuilt", [
+        ("abacbab", "a", ("existing", "counts"), ("rows", "images")),  # adds baba
+        ("aa", "a", ("rows", "images"), ("existing", "counts")),  # adds C(a,2)
+    ])
+    def test_a_child_reads_the_fields_its_parent_computed(self, w, a, kept, rebuilt):
+        parent = WordAnalysis(w)
+        assert parent.violations == ()
+        child = parent.extend(a)
+        assert all(vars(child)[key] is vars(parent)[key] for key in kept)
+        assert not set(rebuilt) & set(vars(child))
+        assert child.violations == ()
+
+    @pytest.mark.parametrize("engine", ["direct_order_ranges", "extend_order_ranges"])
+    def test_a_crash_is_recorded_and_the_sweep_goes_on(self, monkeypatch, capsys, engine):
+        # a word whose check or extension raises is named once, and its
+        # subtree is still swept, from a plain analysis
+        original = getattr(verifier, engine)
+
+        def flaky(*args):
+            if "abba" in args:
+                raise RuntimeError("boom")
+            return original(*args)
+        monkeypatch.setattr(verifier, engine, flaky)
+        summary = exhaustive_search(2, 8)
+        assert summary.words_checked == sum(canonical_count(2, n) for n in range(1, 9))
+        assert summary.violations == ("abba: crash: RuntimeError: boom",)
+        assert main(["search", "--alphabet", "2", "--max-len", "6"]) == 3
+        assert "violation: abba: crash: RuntimeError: boom\n" in capsys.readouterr().out
 
 
 class TestBattery:

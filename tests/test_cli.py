@@ -194,6 +194,16 @@ class TestCorpus:
         assert code == 0
         assert "summary: 0 units" in out
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("text", ["", "aababa\n"], ids=["empty", "one-unit"])
+    def test_unit_cap_below_one_is_a_usage_error(self, capsys, tmp_path, cap, text):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        for mode in ([], ["--per-line"]):
+            code, out, err = run(capsys, "corpus", str(path), *mode, "--max-unit-len", cap)
+            assert (code, out) == (1, "")
+            assert err == f"sqcirc: error: --max-unit-len must be at least 1, got {cap}\n"
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -1,5 +1,6 @@
 """Unit tests for distinct squares and square classes."""
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,28 @@ EXAMPLE_22_SQUARES = {
     "aa", "bb", "abab", "baba", "abaaba", "bbabba", "babbab", "abbabb",
     "babbbabb", "bbabbbab", "baababaaba", "aababaabab", "babbbabbabbbab",
 }
+
+
+class TestLongWordClosedForms:
+    """Square counts known in closed form, far beyond the brute oracle's reach."""
+
+    def test_fibonacci_square_count(self):
+        # Fraenkel & Simpson (TCS 1999): with F_1 = F_2 = 1, the Fibonacci
+        # word's prefix of length F_k has 2(F_(k-2) - 1) distinct nonempty
+        # squares for k >= 6; at k = 5 (length 5) it has 1, not 2
+        fib = [0, 1, 1]
+        while len(fib) <= 19:
+            fib.append(fib[-1] + fib[-2])
+        assert len(distinct_squares(fibonacci(fib[5]))) == 1
+        for k in range(6, 20):  # lengths 8 .. 4,181
+            assert len(distinct_squares(fibonacci(fib[k]))) == 2 * (fib[k - 2] - 1), k
+
+    def test_thue_morse_square_halves(self):
+        # every half length is 2^k or 3 * 2^k; the prefix of length 4,096
+        # has two squares of each up to 512 and one of half 1,024
+        halves = Counter(len(sq.half) for sq in distinct_squares(thue_morse(4096)))
+        expected = {h: 2 for k in range(10) for h in (2 ** k, 3 * 2 ** k) if h <= 512}
+        assert halves == {**expected, 1024: 1}
 
 
 class TestSquareType:

@@ -27,7 +27,7 @@ from sqcirc.words import (
     three_words_decomposition,
 )
 
-from oracles import fibonacci, random_word, thue_morse, word_with_periods
+from oracles import fibonacci, random_word, thue_morse, tribonacci, word_with_periods
 
 B_BEFORE_A = SymbolOrder.from_string("ba")
 
@@ -292,6 +292,18 @@ class TestComplexity:
             k = len(set(w))
             assert prof[len(w) + 1] == 0
             assert all(prof[n + 1] <= k * prof[n] for n in range(len(w) + 1))
+
+    def test_sturmian_closed_form(self):
+        # Morse & Hedlund (1940): C(r) = r + 1 on a Sturmian word; the
+        # Fibonacci prefix of length 6,765 keeps it up to r = 2,585
+        prof = complexity_profile(fibonacci(6765))
+        assert all(prof[r] == r + 1 for r in range(2586))
+
+    def test_arnoux_rauzy_closed_form(self):
+        # Arnoux & Rauzy (1991): C(r) = 2r + 1 on the Tribonacci word; its
+        # prefix of length 8,000 keeps it up to r = 2,031
+        prof = complexity_profile(tribonacci(8000))
+        assert all(prof[r] == 2 * r + 1 for r in range(2032))
 
 
 class TestCommonRoot:
