@@ -11,7 +11,9 @@ One engine, circuit_order_ranges, names every class with the range of orders
 it lives in; small_circuits, all_small_circuits, circuit_counts_by_order,
 independence_rank and circuit_blocks all read it. direct_order_ranges reads
 the same ranges off factor tests alone, as the battery's cross-check, and
-extend_order_ranges extends a word's ranges by one letter, for the sweep.
+extend_order_ranges extends a word's ranges by one letter, for the sweep:
+every circuit the letter adds has order m, the length of the longest suffix
+of wa that occurs in w, and the edge wa[-(m+1):].
 """
 from __future__ import annotations
 
@@ -140,41 +142,31 @@ def extend_order_ranges(ranges: dict[str, tuple[int, int]], wa: str,
     for m the length of the longest suffix of wa that occurs in w = wa[:-1];
     ranges itself when wa adds no circuit.
 
-    Lemma (new circuits): C(q, r) is in Gamma_r(wa) but not in Gamma_r(w)
-    exactly when its edges, the |q| windows of length r+1 of q^oo, all occur
-    in wa and one of them is s = wa[-(r+1):] with r+1 > m. Proof sketch:
-    Gamma_r(w) is a subgraph of Gamma_r(wa), whose one edge not in it is s
-    when r+1 > m (see words.extend_profile). So s has a period p = |q| < |s|
-    with s[:p] a rotation of q, hence primitive; and s[p:], a suffix of wa
-    that also ends at |wa| - p, occurs in w, so |s| - p <= m. For each p the
-    suffixes of period p are those up to the longest, e; the new orders of
-    [q] are the L - 1 with max(m, p) < L <= e whose p windows all occur in
-    wa, an initial run of them by monotonicity (see direct_order_ranges).
-    The orders of [q] stay contiguous from p, so its range becomes
-    (p, max(old hi, L - 1)) for the largest such L; every other range is
-    the parent's.
+    Lemma (order m): every circuit C(q, r) of Gamma_r(wa) that Gamma_r(w)
+    lacks has r = m and the edge s = wa[-(m+1):]. Proof sketch: Gamma_r(w) is
+    a subgraph of Gamma_r(wa), whose one edge not in it is wa[-(r+1):] when
+    r+1 > m (see words.extend_profile), so r >= m. The circuit passes through
+    that edge's end wa[-r:] and must leave it by an edge that starts with
+    wa[-r:]; for r > m, wa[-r:] is not a factor of w, so it occurs in wa
+    only as its suffix and has no such edge. So r = m, and C(q, m) is new
+    iff s has a period p = |q| <= m, s[:p] is primitive (a rotation of q)
+    and the p windows of length m+1 of s[:p]^oo all occur in wa. Every order
+    of [q] below m is old, and by monotonicity (see direct_order_ranges) its
+    orders stay contiguous from p, so its range becomes (p, m): either the
+    old range was (p, m-1), or [q] is a new class with p = m. Every other
+    range is the parent's.
 
     >>> extend_order_ranges({"a": (1, 1), "ab": (2, 2)}, "aababa", 3)
     {'a': (1, 1), 'ab': (2, 3)}
     """
-    n, grown = len(wa), None
-    for p in range(1, n):
-        L = max(m, p) + 1  # the shortest new suffix that can have period p
-        if L > n or wa[n - L + p:] != wa[n - L:n - p]:
-            continue
-        e = L
-        while e < n and wa[n - e - 1] == wa[n - e - 1 + p]:
-            e += 1
-        u = wa[n - L:n - L + p]
-        if not is_primitive(u):  # a power: its root's period finds the circuits
-            continue
-        x, top = power_to_length(u, e + p - 1), 0
-        while L <= e and all(x[i:i + L] in wa for i in range(p)):
-            top, L = L, L + 1
-        if top:
-            q = least_rotation(u)
-            grown = dict(ranges) if grown is None else grown
-            grown[q] = (p, max(ranges.get(q, (p, 0))[1], top - 1))
+    s, grown = wa[-m - 1:], None
+    for p in range(1, m + 1):
+        u = s[:p]
+        if s[p:] == s[:-p] and is_primitive(u):
+            x = power_to_length(u, m + p)
+            if all(x[i:i + m + 1] in wa for i in range(p)):
+                grown = dict(ranges) if grown is None else grown
+                grown[least_rotation(u)] = (p, m)
     return ranges if grown is None else grown
 
 

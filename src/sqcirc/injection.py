@@ -47,8 +47,8 @@ def class_images(rows) -> list[tuple[Square, str, int]]:
     return images
 
 
-def inject_class(w: str, cls: SquareClass) -> list[tuple[Square, SmallCircuit]]:
-    """Map the members of one class of w to small circuits, in square order:
+def inject_class(cls: SquareClass) -> list[tuple[Square, SmallCircuit]]:
+    """Map the members of one square class to small circuits, in square order:
     class_images over the class's one row."""
     return [(sq, _canonical_circuit(root, r))
             for sq, root, r in class_images(class_rows(cls.members))]

@@ -117,7 +117,10 @@ class WordAnalysis:
     def extend(self, a: str) -> WordAnalysis:
         """The analysis of word + a, its profile, squares and ranges extended
         from this analysis's by the lemmas of words.extend_profile,
-        squares.suffix_squares and circuits.extend_order_ranges.
+        squares.suffix_squares and circuits.extend_order_ranges, for m the
+        length of the longest suffix of wa that occurs in w: the new factors
+        and squares are suffixes longer than m, and every new circuit has
+        order m and the edge wa[-(m+1):].
 
         The class rows and their images are functions of the squares alone,
         and the circuit pairs and counts of the ranges alone; so when the
@@ -393,8 +396,8 @@ def _canonical_walk(alphabet_size: int, root, word: str, max_len: int, grow):
         raise ValueError("alphabet size must be positive")
     used = 0
     for c in word:
-        ix = LETTERS.index(c)
-        if ix > used or ix >= alphabet_size:
+        ix = LETTERS.find(c)
+        if not 0 <= ix <= used or ix >= alphabet_size:
             raise ValueError(f"prefix {word!r} is not canonical")
         used = max(used, ix + 1)
 

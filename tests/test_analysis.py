@@ -33,7 +33,14 @@ from sqcirc.verifier import (
 )
 from sqcirc.words import complexity_profile, longest_repeated_factor
 
-from oracles import fibonacci, random_word, replace_everywhere, squares_scan, thue_morse
+from oracles import (
+    fibonacci,
+    random_word,
+    replace_everywhere,
+    squares_scan,
+    thue_morse,
+    tribonacci,
+)
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
 
@@ -223,16 +230,28 @@ class TestIncrementalWalk:
         assert walked == sum(canonical_count(k, n) for n in range(depth + 1, max_len + 1))
 
     @pytest.mark.parametrize("w", [fibonacci(200), thue_morse(128), "a" * 40, "ab" * 30,
-                                   random_word(random.Random(5), "abc", 90, 90)],
-                             ids=["fib200", "tm128", "unary40", "ab30", "random-ternary90"])
+                                   random_word(random.Random(5), "abc", 90, 90),
+                                   tribonacci(300),
+                                   *(random_word(random.Random(seed), letters, 40, 60)
+                                     for seed, letters in ((21, "ab"), (22, "abc"), (23, "abcd")))],
+                             ids=["fib200", "tm128", "unary40", "ab30", "random-ternary90",
+                                  "trib300", "random-binary", "random-ternary", "random-4ary"])
     def test_every_prefix_of_a_long_word(self, w):
+        # each range the letter changes is (|q|, m), extending an old one
+        # that stopped at m - 1 (the order-m lemma of extend_order_ranges)
         a = WordAnalysis("")
         for c in w:
-            a = a.extend(c)
+            parent, a = a, a.extend(c)
             x = a.word
+            m = next(m for m in range(len(x)) if x[-m - 1:] not in parent.word)
             assert a.profile == complexity_profile(x), x
             assert a.squares == distinct_squares(x), x
             assert a.ranges == circuit_order_ranges(x), x
+            for q, span in a.ranges.items():
+                old = parent.ranges.get(q)
+                if span != old:
+                    assert span == (len(q), m), x
+                    assert old is None or old[1] == m - 1, x
 
     @pytest.mark.parametrize("w,a,kept,rebuilt", [
         ("abacbab", "a", ("existing", "counts"), ("rows", "images")),  # adds baba

@@ -32,7 +32,7 @@ def thue_like_square_free(length):
 class TestInjectClass:
     def test_index_one_class_fans_out_from_root_length(self):
         cls = next(c for c in square_classes(EXAMPLE_22) if c.root == "abb")
-        pairs = inject_class(EXAMPLE_22, cls)
+        pairs = inject_class(cls)
         assert {c for _, c in pairs} == {
             SmallCircuit("abb", 3), SmallCircuit("abb", 4), SmallCircuit("abb", 5)}
         # ranks follow the lexicographic order of the members
@@ -41,12 +41,12 @@ class TestInjectClass:
 
     def test_single_member_class(self):
         cls = next(c for c in square_classes(EXAMPLE_22) if c.root == "a")
-        assert inject_class(EXAMPLE_22, cls) == [
+        assert inject_class(cls) == [
             (next(iter(cls.members)), SmallCircuit("a", 1))]
 
     def test_deep_class_uses_coordinates(self):
         cls = square_classes("abcabcabcabca")[0]
-        image = {sq.word: circ for sq, circ in inject_class("abcabcabcabca", cls)}
+        image = {sq.word: circ for sq, circ in inject_class(cls)}
         assert image["abcabcabcabc"] == SmallCircuit("abc", 6)
         assert image["bcabcabcabca"] == SmallCircuit("abc", 7)
         assert image["abcabc"] == SmallCircuit("abc", 3)

@@ -101,6 +101,8 @@ class TestCanonicalWords:
             list(canonical_words(2, 4, "b"))
         with pytest.raises(ValueError):
             list(canonical_words(2, 4, "abc"))
+        with pytest.raises(ValueError, match="is not canonical"):
+            list(canonical_words(2, 3, "A"))
 
 
 class TestExhaustiveSearch:
