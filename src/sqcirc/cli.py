@@ -18,6 +18,7 @@ from .verifier import (
     class_table,
     corpus_analyze,
     exhaustive_search,
+    graph_orders,
 )
 from .words import NATURAL, SymbolOrder
 
@@ -113,7 +114,7 @@ def _cmd_rauzy(args, order) -> int:
     if args.dot:
         sys.stdout.write(analyze(w, "dot", order, args.n))
         return OK
-    for n in range(1, len(w) + 1) if args.n == "all" else [int(args.n)]:
+    for n in graph_orders(w, args.n):
         g = build_rauzy(w, n)
         print(f"Gamma_{n}: {len(g.vertices)} vertices, {len(g.edges)} edges")
         for v in sorted(g.vertices):

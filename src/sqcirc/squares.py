@@ -4,8 +4,8 @@ A square is a factor uu. Squares are grouped by the conjugacy class of the
 primitive root of the half u. One pass, class_rows, gives each class its
 index, its root v and every member's coordinates (i, j), from which
 rebuild_from_coordinates rebuilds the member; square_classes is the
-SquareClass view of those rows. suffix_squares lists the squares that one
-more letter adds, for the sweep.
+SquareClass view of those rows. For the sweep, suffix_squares lists the
+squares that one more letter adds, and extend_rows adds them to the rows.
 """
 from __future__ import annotations
 
@@ -203,6 +203,33 @@ def class_rows(squares) -> list[tuple[str, int, str, list[tuple[Square, int, int
         group.sort()  # by word: distinct squares have distinct words
         rows.append((v, -neg, canon, [(sq, doubled.find(root) + 1, exp)
                                       for _, sq, root, exp in group]))
+    rows.sort(key=lambda row: (len(row[0]), row[0]))
+    return rows
+
+
+def extend_rows(rows, new) -> list[tuple[str, int, str, list[tuple[Square, int, int]]]]:
+    """class_rows(S | new), from rows = class_rows(S) and squares new not in
+    S; rows and their member lists are left as they are.
+
+    Each new square, of primitive root t and exponent exp, joins the row of
+    its class or starts one. Lemma: the row's index becomes max(index, exp),
+    and its root v becomes t when (-exp, t) < (-index, v); only then do the
+    members' offsets i change, and j never does. Proof sketch: a row depends
+    only on its own class's members, and these are class_rows' rules: v is
+    the least (-exp, t) over them, i depends on v alone, and j is exp.
+    """
+    rows = list(rows)
+    for sq in new:
+        root, exp = primitive_root(sq.half)
+        canon = least_rotation(root)
+        at = next((k for k, row in enumerate(rows) if row[2] == canon), len(rows))
+        v, index, _, members = rows[at] if at < len(rows) else (root, exp, canon, [])
+        if (-exp, root) < (-index, v):
+            v, index = root, exp
+            members = [(m, (v + v).find(m.half[:len(v)]) + 1, j) for m, _, j in members]
+        members = sorted([*members, (sq, (v + v).find(root) + 1, exp)],
+                         key=lambda member: member[0].word)
+        rows[at:at + 1] = [(v, index, canon, members)]
     rows.sort(key=lambda row: (len(row[0]), row[0]))
     return rows
 

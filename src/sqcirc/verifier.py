@@ -28,6 +28,7 @@ from .squares import (
     Square,
     class_rows,
     distinct_squares,
+    extend_rows,
     period_runs,
     rebuild_from_coordinates,
     suffix_squares,
@@ -125,7 +126,9 @@ class WordAnalysis:
         The class rows and their images are functions of the squares alone,
         and the circuit pairs and counts of the ranges alone; so when the
         child's squares (ranges) object is this one's, it reads this one's
-        rows and images (existing and counts), if computed.
+        rows and images (existing and counts), if computed. When the letter
+        adds squares, the child's rows are this one's, if computed, extended
+        by squares.extend_rows; its images stay lazy.
         """
         w = self.word
         wa, m = w + a, 0
@@ -140,6 +143,8 @@ class WordAnalysis:
         shared = ("existing", "counts") if ranges is self.ranges else ()
         if not new:
             shared += ("rows", "images")
+        elif "rows" in mine:
+            fields["rows"] = extend_rows(mine["rows"], new)
         fields.update((key, mine[key]) for key in shared if key in mine)
         return child
 
@@ -234,11 +239,24 @@ class WordAnalysis:
         if len(set(pairs)) != len(pairs):
             bad.append(f"{w}: injection images collide")
         ranges, found = direct_order_ranges(w, prof), counts
-        if ranges != self.ranges:  # equal ranges name equal circuits at every order
+        agree = ranges == self.ranges  # equal ranges name equal circuits at every order
+        if not agree:
             found = order_counts(ranges)
             bad.extend(f"{w}: order {r} enumerators disagree ({found.get(r, 0)} direct "
                        f"vs {counts.get(r, 0)} batched)"
                        for r in sorted({r for _, r in circuit_pairs(ranges) ^ existing}))
+        # Lemma (Fine-Wilf): for non-conjugate primitive roots q, q' of
+        # lengths p, p' <= r, a window of length r+1 of q^oo that equals one
+        # of q'^oo needs p != p' and p + p' - gcd(p, p') >= r + 2. Proof
+        # sketch: else the window, of periods p and p', has the period g =
+        # gcd(p, p'); its prefixes of lengths p and p' are rotations of
+        # primitive roots, so g = p = p' and q, q' are conjugate. So, as r >=
+        # max(p, p'), min(p, p') >= g + 2 >= 3. Both engines name primitive,
+        # pairwise non-conjugate roots whose range starts at |q|: when they
+        # agree and the roots of length >= 3 share one length, no maximal
+        # edges collide.
+        if agree and len({len(q) for q in ranges if len(q) >= 3}) <= 1:
+            return tuple(bad)
         crowded: dict[int, list[str]] = {}  # one edge cannot collide with itself
         for q, (lo, hi) in ranges.items():
             for r in range(lo, hi + 1):
@@ -369,7 +387,9 @@ def verify_word(w: str) -> list[str]:
     Checks the count chain, the per-order complexity cap, existence and
     distinctness of all injection images, coordinate round-trips on every
     square, agreement of the two circuit engines at every order either one
-    reports, distinct maximal edges per graph, and linear independence.
+    reports, distinct maximal edges per graph, and linear independence. The
+    maximal edges are compared only where the engines disagree or where
+    Fine-Wilf leaves a collision possible (see WordAnalysis.violations).
     """
     return list(WordAnalysis(w).violations)
 
@@ -551,9 +571,19 @@ def analyze(w: str, emit: str = "report", order: SymbolOrder = NATURAL,
     if emit == "dot":
         if r is None:
             raise ValueError("dot output needs a graph order or 'all'")
-        orders = range(1, len(w) + 1) if r == "all" else [int(r)]
-        return "".join(dot_digraph(build_rauzy(w, n)) for n in orders)
+        return "".join(dot_digraph(build_rauzy(w, n)) for n in graph_orders(w, r))
     raise ValueError(f"unknown emit mode {emit!r}")
+
+
+def graph_orders(w: str, r):
+    """The Rauzy graph orders r names: 1..|w| for 'all', else the integer r
+    (an int or its decimal text; a float such as 1.5 is rejected, not cut)."""
+    if r == "all":
+        return range(1, len(w) + 1)
+    try:
+        return [int(str(r))]
+    except ValueError:
+        raise ValueError(f"graph order must be an integer or 'all', got {r!r}") from None
 
 
 def corpus_analyze(path: str, mode: str = "per-line",

@@ -9,6 +9,8 @@ import sys
 
 import networkx as nx
 
+from sqcirc.circuits import _edge_rank, _powers, order_counts
+
 
 def elementary_cycles_oracle(g, max_size: int,
                              max_cycles: int = 1_000_000) -> frozenset[frozenset[str]]:
@@ -113,3 +115,24 @@ def replace_everywhere(monkeypatch, original, replacement) -> None:
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, replacement)
+
+
+def maximal_edge_pass(w: str, ranges) -> list[str]:
+    """The invariant battery's maximal-edge pass over ranges, unpruned: at
+    every order with two or more circuits, a message when two maximal edges
+    collide, and another when the circuits are then linearly dependent."""
+    found = order_counts(ranges)
+    bad = []
+    crowded: dict[int, list[str]] = {}
+    for q, (lo, hi) in ranges.items():
+        for r in range(lo, hi + 1):
+            if found[r] > 1:
+                crowded.setdefault(r, []).append(q)
+    top = {q: max(_powers(q, ranges[q][1] + 1)) for q in set().union(*crowded.values())}
+    for r, roots in sorted(crowded.items()):
+        if len({top[q][:r + 1] for q in roots}) != len(roots):
+            bad.append(f"{w}: order {r} maximal edges collide")
+            edges = [_powers(q, r + 1) for q in roots]
+            if _edge_rank(edges) != len(edges):
+                bad.append(f"{w}: order {r} circuits are linearly dependent")
+    return bad

@@ -35,6 +35,7 @@ from sqcirc.words import complexity_profile, longest_repeated_factor
 
 from oracles import (
     fibonacci,
+    maximal_edge_pass,
     random_word,
     replace_everywhere,
     squares_scan,
@@ -211,7 +212,8 @@ class TestIncrementalWalk:
     def test_extended_fields_equal_the_batch_engines(self, k, max_len, depth):
         # every word the sweep's walk reaches, from the empty root or from
         # each --jobs unit's prefix; the shared fields are read on each word
-        # before its children are extended, as the battery reads them
+        # before its children are extended, as the battery reads them; the
+        # unpruned maximal-edge pass finds nothing the pruned battery skips
         walked = 0
         for root in canonical_words(k, depth):
             for a in verifier._canonical_walk(k, WordAnalysis(root), root, max_len,
@@ -227,6 +229,7 @@ class TestIncrementalWalk:
                 assert a.images == class_images(a.rows), w
                 assert a.existing == circuit_pairs(a.ranges), w
                 assert a.counts == order_counts(a.ranges), w
+                assert maximal_edge_pass(w, a.ranges) == [], w
         assert walked == sum(canonical_count(k, n) for n in range(depth + 1, max_len + 1))
 
     @pytest.mark.parametrize("w", [fibonacci(200), thue_morse(128), "a" * 40, "ab" * 30,
@@ -238,8 +241,11 @@ class TestIncrementalWalk:
                                   "trib300", "random-binary", "random-ternary", "random-4ary"])
     def test_every_prefix_of_a_long_word(self, w):
         # each range the letter changes is (|q|, m), extending an old one
-        # that stopped at m - 1 (the order-m lemma of extend_order_ranges)
+        # that stopped at m - 1 (the order-m lemma of extend_order_ranges);
+        # the rows are read at every step, so each child that adds squares
+        # extends its parent's rows (squares.extend_rows)
         a = WordAnalysis("")
+        assert a.rows == []
         for c in w:
             parent, a = a, a.extend(c)
             x = a.word
@@ -247,22 +253,31 @@ class TestIncrementalWalk:
             assert a.profile == complexity_profile(x), x
             assert a.squares == distinct_squares(x), x
             assert a.ranges == circuit_order_ranges(x), x
+            assert a.rows == class_rows(a.squares), x
+            assert a.images == class_images(a.rows), x
             for q, span in a.ranges.items():
                 old = parent.ranges.get(q)
                 if span != old:
                     assert span == (len(q), m), x
                     assert old is None or old[1] == m - 1, x
 
-    @pytest.mark.parametrize("w,a,kept,rebuilt", [
-        ("abacbab", "a", ("existing", "counts"), ("rows", "images")),  # adds baba
-        ("aa", "a", ("rows", "images"), ("existing", "counts")),  # adds C(a,2)
+    # a child keeps its parent's fields of what did not change, extends the
+    # rows by its new squares, and leaves the rest to be computed on use
+    @pytest.mark.parametrize("w,a,kept,extended,lazy", [
+        ("abacbab", "a", ("existing", "counts"), ("rows",), ("images",)),  # adds baba
+        ("aa", "a", ("rows", "images"), (), ("existing", "counts")),  # adds C(a,2)
     ])
-    def test_a_child_reads_the_fields_its_parent_computed(self, w, a, kept, rebuilt):
+    def test_a_child_reads_the_fields_its_parent_computed(self, w, a, kept, extended, lazy):
         parent = WordAnalysis(w)
         assert parent.violations == ()
         child = parent.extend(a)
         assert all(vars(child)[key] is vars(parent)[key] for key in kept)
-        assert not set(rebuilt) & set(vars(child))
+        assert all(key in vars(child) and vars(child)[key] is not vars(parent)[key]
+                   for key in extended)
+        if extended:  # from the parent's rows, which stay as they were
+            assert child.rows == class_rows(child.squares) != parent.rows
+            assert parent.rows == class_rows(parent.squares)
+        assert not set(lazy) & set(vars(child))
         assert child.violations == ()
 
     @pytest.mark.parametrize("engine", ["direct_order_ranges", "extend_order_ranges"])

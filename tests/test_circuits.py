@@ -1,5 +1,7 @@
 """Unit tests for small-circuit enumeration and arrangement."""
 import random
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -348,6 +350,25 @@ class TestMaximalEdge:
             for r in range(1, len(w) + 1):
                 tops = [maximal_edge(c) for c in small_circuits(w, r)]
                 assert len(tops) == len(set(tops))
+
+    def test_shared_windows_obey_the_fine_wilf_bound(self):
+        # the lemma that lets the battery skip its maximal-edge pass: roots
+        # q, q' of lengths p, p' share a window of length r+1 of their powers
+        # only if p != p' and r + 2 <= p + p' - gcd(p, p'); and it is tight
+        roots = [q for n in range(1, 7) for q in map("".join, product("abc", repeat=n))
+                 if is_primitive(q) and least_rotation(q) == q]
+        assert len(roots) == 196
+        shared = tight = 0
+        for q, q2 in combinations(roots, 2):
+            p, p2 = len(q), len(q2)
+            for r in range(max(p, p2), p + p2 + 1):
+                windows = [{(x * (r + 2))[i:i + r + 1] for i in range(len(x))}
+                           for x in (q, q2)]
+                if windows[0] & windows[1]:
+                    shared += 1
+                    assert p != p2 and r + 2 <= p + p2 - gcd(p, p2), (q, q2, r)
+                    tight += r + 2 == p + p2 - gcd(p, p2)
+        assert (shared, tight) == (132, 42)
 
 
 class TestCao:

@@ -57,6 +57,13 @@ class TestRauzy:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("dot", [[], ["--dot"]])
+    @pytest.mark.parametrize("n", ["x", "1.5"])
+    def test_order_not_an_integer(self, capsys, n, dot):
+        code, out, err = run(capsys, "rauzy", "aababa", "--n", n, *dot)
+        assert (code, out) == (1, "")
+        assert err == f"sqcirc: error: graph order must be an integer or 'all', got '{n}'\n"
+
     def test_missing_n(self, capsys):
         code, _, _ = run(capsys, "rauzy", "aababa")
         assert code == 1

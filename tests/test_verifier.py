@@ -271,6 +271,12 @@ class TestDot:
         with pytest.raises(ValueError):
             analyze("aababa", "dot")
 
+    @pytest.mark.parametrize("r,shown", [("x", "'x'"), ("1.5", "'1.5'"), (1.5, "1.5")])
+    def test_order_not_an_integer(self, r, shown):
+        with pytest.raises(ValueError) as err:
+            analyze("aababa", "dot", r=r)
+        assert str(err.value) == f"graph order must be an integer or 'all', got {shown}"
+
 
 class TestReport:
     def test_class_table(self):
