@@ -8,12 +8,14 @@ edge periodicity instead of graph search; the graph search survives only as
 the cross-check oracle in tests/oracles.py.
 
 One engine, circuit_order_ranges, names every class with the range of orders
-it lives in; small_circuits, all_small_circuits, circuit_counts_by_order,
-independence_rank and circuit_blocks all read it. direct_order_ranges reads
-the same ranges off factor tests alone, as the battery's cross-check, and
-extend_order_ranges extends a word's ranges by one letter, for the sweep:
-every circuit the letter adds has order m, the length of the longest suffix
-of wa that occurs in w, and the edge wa[-(m+1):].
+it lives in; small_circuits, all_small_circuits, circuit_counts_by_order and
+circuit_blocks all read it. The circuits of one graph have distinct maximal
+edges (the lemma in maximal_edge), so they are linearly independent and
+independence_rank is their count. direct_order_ranges reads the same ranges
+off factor tests alone, as the battery's cross-check, and extend_order_ranges
+extends a word's ranges by one letter, for the sweep: every circuit the
+letter adds has order m, the length of the longest suffix of wa that occurs
+in w, and the edge wa[-(m+1):].
 """
 from __future__ import annotations
 
@@ -277,6 +279,20 @@ def maximal_edge(c: SmallCircuit, order: SymbolOrder = NATURAL) -> str:
 
     Two edges first differ inside their length-|root| prefixes, so this is
     the greatest rotation of the root extended to length order+1.
+
+    Lemma (maximal edges): distinct circuits of one graph have distinct
+    maximal edges, under any order: for primitive, non-conjugate q, q' with
+    |q|, |q'| <= r and greatest rotations Q, Q', the prefixes of length r+1
+    of x = Q^oo and y = Q'^oo differ. Proof sketch: let p = |q| <= p' = |q'|
+    and suppose x, y agree on r+1 >= p'+1 letters. p = p' gives Q = Q', and
+    p | p' gives Q' = Q^(p'/p), not primitive. Else their least periods
+    differ, so x != y; let L > p' be their first difference. Q^oo exceeds
+    its shift by any non-multiple of |Q|, the power of a lesser rotation. y
+    shifted by p agrees with y before L-p, and at L-p holds y[L] against
+    y[L-p] = x[L-p] = x[L], so y[L] < x[L]; x shifted by p' gives x[L] <
+    y[L] likewise. Every engine's roots meet the hypotheses: each is
+    primitive (an orbit of exactly |q| rotations, or is_primitive) and a
+    least rotation, so no two are conjugate, and its range starts at |q|.
     """
     top = extremal_rotation(c.root, order, "greatest")
     return power_to_length(top, c.order + 1)
@@ -284,7 +300,8 @@ def maximal_edge(c: SmallCircuit, order: SymbolOrder = NATURAL) -> str:
 
 def cao_less(c1: SmallCircuit, c2: SmallCircuit,
              order: SymbolOrder = NATURAL) -> bool:
-    """Circuit arrangement: compare circuits of one graph by maximal edge."""
+    """Circuit arrangement: compare circuits of one graph by maximal edge, a
+    strict total order on them by the maximal-edge lemma (see maximal_edge)."""
     if c1.order != c2.order:
         raise ValueError("circuit arrangement compares circuits of one graph")
     return order.less(maximal_edge(c1, order), maximal_edge(c2, order))
@@ -302,41 +319,12 @@ def vector_cycle(c: SmallCircuit, g: RauzyGraph) -> VectorCycle:
                              for lab in sorted(labels)))
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    # fraction-free elimination; entries stay integers, arithmetic is exact
-    if not rows:
-        return 0
-    rows = [list(r) for r in rows]
-    m = len(rows[0])
-    rank = 0
-    for col in range(m):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        a = lead[col]
-        for i in range(rank + 1, len(rows)):
-            b = rows[i][col]
-            if b:
-                rows[i] = [a * x - b * y for x, y in zip(rows[i], lead)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _edge_rank(supports: list[frozenset[str]]) -> int:
-    # exact rank of the indicator vectors of the circuits' edge sets
-    cols = {lab: i for i, lab in enumerate(sorted(set().union(*supports)))}
-    rows = [[0] * len(cols) for _ in supports]
-    for row, sup in zip(rows, supports):
-        for lab in sup:
-            row[cols[lab]] = 1
-    return _int_rank(rows)
-
-
 def independence_rank(w: str, r: int) -> int:
-    """Exact rank of the circuits' edge-indicator vectors in Gamma_r(w)."""
-    return _edge_rank([_powers(c.root, r + 1) for c in small_circuits(w, r)])
+    """Rank of the circuits' edge-indicator vectors in Gamma_r(w): sc_r.
+
+    Their maximal edges are distinct (the lemma in maximal_edge), and sorted
+    by them the matrix is unit triangular on their columns (the triangle
+    lemma: no edge of a circuit exceeds its own maximal edge): full rank.
+    """
+    return len(small_circuits(w, r))
 

@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rauzy", parents=[common], help="one Rauzy graph")
     p.add_argument("word")
     p.add_argument("--n", required=True, metavar="R",
-                   help="graph order (an integer, or 'all' with --dot)")
+                   help="graph order (an integer, or 'all')")
     p.add_argument("--dot", action="store_true", help="emit Graphviz text")
 
     p = sub.add_parser("circuits", parents=[common],

@@ -13,8 +13,6 @@ from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 from .circuits import (
-    _edge_rank,
-    _powers,
     circuit_blocks,
     circuit_order_ranges,
     circuit_pairs,
@@ -238,39 +236,14 @@ class WordAnalysis:
                     bad.append(f"{w}: coordinates ({i},{j}) do not rebuild {sq.word}")
         if len(set(pairs)) != len(pairs):
             bad.append(f"{w}: injection images collide")
-        ranges, found = direct_order_ranges(w, prof), counts
-        agree = ranges == self.ranges  # equal ranges name equal circuits at every order
-        if not agree:
+        ranges = direct_order_ranges(w, prof)
+        if ranges != self.ranges:  # equal ranges name equal circuits at every order
             found = order_counts(ranges)
             bad.extend(f"{w}: order {r} enumerators disagree ({found.get(r, 0)} direct "
                        f"vs {counts.get(r, 0)} batched)"
                        for r in sorted({r for _, r in circuit_pairs(ranges) ^ existing}))
-        # Lemma (Fine-Wilf): for non-conjugate primitive roots q, q' of
-        # lengths p, p' <= r, a window of length r+1 of q^oo that equals one
-        # of q'^oo needs p != p' and p + p' - gcd(p, p') >= r + 2. Proof
-        # sketch: else the window, of periods p and p', has the period g =
-        # gcd(p, p'); its prefixes of lengths p and p' are rotations of
-        # primitive roots, so g = p = p' and q, q' are conjugate. So, as r >=
-        # max(p, p'), min(p, p') >= g + 2 >= 3. Both engines name primitive,
-        # pairwise non-conjugate roots whose range starts at |q|: when they
-        # agree and the roots of length >= 3 share one length, no maximal
-        # edges collide.
-        if agree and len({len(q) for q in ranges if len(q) >= 3}) <= 1:
-            return tuple(bad)
-        crowded: dict[int, list[str]] = {}  # one edge cannot collide with itself
-        for q, (lo, hi) in ranges.items():
-            for r in range(lo, hi + 1):
-                if found[r] > 1:
-                    crowded.setdefault(r, []).append(q)
-        # C(q, r)'s maximal edge: the greatest rotation's power, a prefix of C(q, hi)'s
-        top = {q: max(_powers(q, ranges[q][1] + 1)) for q in set().union(*crowded.values())}
-        for r, roots in sorted(crowded.items()):
-            if len({top[q][:r + 1] for q in roots}) != len(roots):
-                bad.append(f"{w}: order {r} maximal edges collide")
-                # distinct maximal edges make the matrix unit triangular: full rank
-                edges = [_powers(q, r + 1) for q in roots]
-                if _edge_rank(edges) != len(edges):
-                    bad.append(f"{w}: order {r} circuits are linearly dependent")
+        # no check of maximal edges or rank: the lemma in circuits.maximal_edge
+        # makes both hold on every engine's output
         return tuple(bad)
 
     def json_text(self, order: SymbolOrder) -> str:
@@ -386,10 +359,9 @@ def verify_word(w: str) -> list[str]:
 
     Checks the count chain, the per-order complexity cap, existence and
     distinctness of all injection images, coordinate round-trips on every
-    square, agreement of the two circuit engines at every order either one
-    reports, distinct maximal edges per graph, and linear independence. The
-    maximal edges are compared only where the engines disagree or where
-    Fine-Wilf leaves a collision possible (see WordAnalysis.violations).
+    square, and agreement of the two circuit engines at every order either
+    one reports. Distinct maximal edges per graph, and so linear
+    independence, hold by the lemma in circuits.maximal_edge.
     """
     return list(WordAnalysis(w).violations)
 

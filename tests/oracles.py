@@ -9,7 +9,7 @@ import sys
 
 import networkx as nx
 
-from sqcirc.circuits import _edge_rank, _powers, order_counts
+from sqcirc.circuits import _powers, order_counts
 
 
 def elementary_cycles_oracle(g, max_size: int,
@@ -117,10 +117,45 @@ def replace_everywhere(monkeypatch, original, replacement) -> None:
                 monkeypatch.setattr(module, attr, replacement)
 
 
+def _int_rank(rows: list[list[int]]) -> int:
+    # fraction-free elimination; entries stay integers, arithmetic is exact
+    if not rows:
+        return 0
+    rows = [list(r) for r in rows]
+    m = len(rows[0])
+    rank = 0
+    for col in range(m):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank]
+        a = lead[col]
+        for i in range(rank + 1, len(rows)):
+            b = rows[i][col]
+            if b:
+                rows[i] = [a * x - b * y for x, y in zip(rows[i], lead)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _edge_rank(supports: list[frozenset[str]]) -> int:
+    # exact rank of the indicator vectors of the circuits' edge sets
+    cols = {lab: i for i, lab in enumerate(sorted(set().union(*supports)))}
+    rows = [[0] * len(cols) for _ in supports]
+    for row, sup in zip(rows, supports):
+        for lab in sup:
+            row[cols[lab]] = 1
+    return _int_rank(rows)
+
+
 def maximal_edge_pass(w: str, ranges) -> list[str]:
-    """The invariant battery's maximal-edge pass over ranges, unpruned: at
-    every order with two or more circuits, a message when two maximal edges
-    collide, and another when the circuits are then linearly dependent."""
+    """A brute check of the maximal-edge lemma (see circuits.maximal_edge) on
+    ranges: at every order with two or more circuits, a message when two
+    maximal edges collide, and another when the circuits are then linearly
+    dependent."""
     found = order_counts(ranges)
     bad = []
     crowded: dict[int, list[str]] = {}

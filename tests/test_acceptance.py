@@ -39,7 +39,7 @@ from sqcirc.words import (
     is_primitive,
 )
 
-from oracles import elementary_cycles_oracle, squares_scan, word_with_periods
+from oracles import _edge_rank, elementary_cycles_oracle, squares_scan, word_with_periods
 
 B_BEFORE_A = SymbolOrder.from_string("ba")
 WORD_U = "aababa"
@@ -86,6 +86,7 @@ def test_criterion_2_nested_circuits_order_five(capsys):
         assert {maximal_edge(c, B_BEFORE_A) for c in got} == {
             "aaaaba", "aaabaa", "aabaab"}
         assert independence_rank(WORD_V, 5) == 3
+        assert _edge_rank([realize(c).edges for c in got]) == 3
         # the three circuits account for the whole cycle space of the graph
         g = build_rauzy(WORD_V, 5)
         assert len(g.vertices) == 8 and len(g.edges) == 10

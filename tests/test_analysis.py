@@ -31,7 +31,12 @@ from sqcirc.verifier import (
     theorem_check,
     verify_word,
 )
-from sqcirc.words import complexity_profile, longest_repeated_factor
+from sqcirc.words import (
+    complexity_profile,
+    is_primitive,
+    least_rotation,
+    longest_repeated_factor,
+)
 
 from oracles import (
     fibonacci,
@@ -212,8 +217,10 @@ class TestIncrementalWalk:
     def test_extended_fields_equal_the_batch_engines(self, k, max_len, depth):
         # every word the sweep's walk reaches, from the empty root or from
         # each --jobs unit's prefix; the shared fields are read on each word
-        # before its children are extended, as the battery reads them; the
-        # unpruned maximal-edge pass finds nothing the pruned battery skips
+        # before its children are extended, as the battery reads them; every
+        # root meets the maximal-edge lemma's hypotheses (primitive, a least
+        # rotation, its range starting at its length), and the oracle pass
+        # finds no collision
         walked = 0
         for root in canonical_words(k, depth):
             for a in verifier._canonical_walk(k, WordAnalysis(root), root, max_len,
@@ -229,6 +236,9 @@ class TestIncrementalWalk:
                 assert a.images == class_images(a.rows), w
                 assert a.existing == circuit_pairs(a.ranges), w
                 assert a.counts == order_counts(a.ranges), w
+                for q, (lo, hi) in a.ranges.items():
+                    assert is_primitive(q) and q == least_rotation(q), w
+                    assert lo == len(q) <= hi, w
                 assert maximal_edge_pass(w, a.ranges) == [], w
         assert walked == sum(canonical_count(k, n) for n in range(depth + 1, max_len + 1))
 
@@ -243,7 +253,8 @@ class TestIncrementalWalk:
         # each range the letter changes is (|q|, m), extending an old one
         # that stopped at m - 1 (the order-m lemma of extend_order_ranges);
         # the rows are read at every step, so each child that adds squares
-        # extends its parent's rows (squares.extend_rows)
+        # extends its parent's rows (squares.extend_rows); the oracle
+        # maximal-edge pass finds no collision on any prefix
         a = WordAnalysis("")
         assert a.rows == []
         for c in w:
@@ -255,6 +266,7 @@ class TestIncrementalWalk:
             assert a.ranges == circuit_order_ranges(x), x
             assert a.rows == class_rows(a.squares), x
             assert a.images == class_images(a.rows), x
+            assert maximal_edge_pass(x, a.ranges) == [], x
             for q, span in a.ranges.items():
                 old = parent.ranges.get(q)
                 if span != old:
@@ -325,16 +337,22 @@ class TestBattery:
     # at order 2 the faked root joins C(ab, 2), whose edges are aba and bab:
     # ba names the same class, so the edge sets are equal and the rank is 1;
     # babaa's greatest rotation also starts with bab, but its edges add baa
-    # and aab; aab's maximal edge baa differs from bab in its last letter only
+    # and aab; aab's maximal edge baa differs from bab in its last letter only.
+    # The battery names the disagreement alone, as roots that break the
+    # maximal-edge lemma's hypotheses make the engines disagree; the oracle
+    # pass still sees each collision in the faked ranges
     @pytest.mark.parametrize("extra,messages", [
         ("ba", ["maximal edges collide", "circuits are linearly dependent"]),
         ("babaa", ["maximal edges collide"]),
         ("aab", [])])
     def test_maximal_edges_and_rank(self, monkeypatch, extra, messages):
-        self.fake_direct_engine(monkeypatch, lambda ranges: {**ranges, extra: (2, 2)})
+        def edit(ranges):
+            return {**ranges, extra: (2, 2)}
+        self.fake_direct_engine(monkeypatch, edit)
         assert verify_word("aababa") == [
-            "aababa: order 2 enumerators disagree (2 direct vs 1 batched)",
-            *(f"aababa: order 2 {m}" for m in messages)]
+            "aababa: order 2 enumerators disagree (2 direct vs 1 batched)"]
+        assert maximal_edge_pass("aababa", edit(circuit_order_ranges("aababa"))) == [
+            f"aababa: order 2 {m}" for m in messages]
 
     @staticmethod
     def faked_battery(monkeypatch, target, name, fake) -> list[str]:
@@ -384,9 +402,8 @@ class TestBattery:
             f"aababa: {m}" for m in messages]
 
     def test_check_runs_no_per_order_enumeration_or_rank(self, monkeypatch, capsys):
-        # distinct maximal edges settle the rank, and one engine call covers
-        # every order
-        counts = count_calls(monkeypatch, circuits.small_circuits, circuits._edge_rank,
+        # one engine call covers every order
+        counts = count_calls(monkeypatch, circuits.small_circuits,
                              circuits.direct_order_ranges)
         assert main(["check", fibonacci(300)]) == 0
         assert "injective: True" in capsys.readouterr().out

@@ -8,7 +8,6 @@ import pytest
 import sqcirc.circuits as circuits_module
 from sqcirc.circuits import (
     SmallCircuit,
-    _edge_rank,
     _powers,
     all_small_circuits,
     cao_less,
@@ -25,9 +24,11 @@ from sqcirc.rauzy import build_rauzy, cyclomatic_number
 from sqcirc.squares import match_runs, period_runs
 from sqcirc.verifier import canonical_words
 from sqcirc.words import (
+    NATURAL,
     SymbolOrder,
     complexity_profile,
     conjugacy_class,
+    extremal_rotation,
     factors,
     has_period,
     is_primitive,
@@ -37,6 +38,7 @@ from sqcirc.words import (
 )
 
 from oracles import (
+    _edge_rank,
     elementary_cycles_oracle,
     fibonacci,
     random_word,
@@ -45,6 +47,8 @@ from oracles import (
 )
 
 B_BEFORE_A = SymbolOrder.from_string("ba")
+# B_BEFORE_A extended to ternary words: every letter comparison reversed
+REVERSED = SymbolOrder.from_string("cba")
 # carries three nested circuits over aab, aaab, aaaab at order five
 NEST_WORD = "abaaabaabaaaaba"
 
@@ -267,7 +271,7 @@ class TestFactorTestEngine:
         assert len(calls) == 1
 
     def test_distinct_maximal_edges_mean_full_rank(self):
-        # the triangle lemma the battery relies on to skip the exact rank
+        # the maximal-edge and triangle lemmas, at every order of every word
         checked = 0
         for w in factor_test_words():
             per_order = {}
@@ -275,9 +279,9 @@ class TestFactorTestEngine:
                 for r in range(lo, hi + 1):
                     per_order.setdefault(r, []).append(_powers(root, r + 1))
             for edges in per_order.values():
-                if len({max(e) for e in edges}) == len(edges):
-                    checked += 1
-                    assert _edge_rank(edges) == len(edges), w
+                checked += 1
+                assert len({max(e) for e in edges}) == len(edges), w
+                assert _edge_rank(edges) == len(edges), w
         assert checked
 
 
@@ -344,20 +348,24 @@ class TestMaximalEdge:
                         assert all(key(e) <= key(top) for e in edges)
 
     def test_distinct_across_circuits_of_one_graph(self):
-        rng = random.Random(45)
-        for _ in range(150):
-            w = random_word(rng, "abc", 1, 20)
-            for r in range(1, len(w) + 1):
-                tops = [maximal_edge(c) for c in small_circuits(w, r)]
-                assert len(tops) == len(set(tops))
+        for order in (NATURAL, REVERSED):
+            rng = random.Random(45)
+            for _ in range(150):
+                w = random_word(rng, "abc", 1, 20)
+                for r in range(1, len(w) + 1):
+                    tops = [maximal_edge(c, order) for c in small_circuits(w, r)]
+                    assert len(tops) == len(set(tops))
 
     def test_shared_windows_obey_the_fine_wilf_bound(self):
-        # the lemma that lets the battery skip its maximal-edge pass: roots
-        # q, q' of lengths p, p' share a window of length r+1 of their powers
-        # only if p != p' and r + 2 <= p + p' - gcd(p, p'); and it is tight
+        # roots q, q' of lengths p, p' share a window of length r+1 of their
+        # powers only if p != p' and r + 2 <= p + p' - gcd(p, p'), and it is
+        # tight; yet the windows at their greatest rotations never coincide
+        # (the maximal-edge lemma), under either order
         roots = [q for n in range(1, 7) for q in map("".join, product("abc", repeat=n))
                  if is_primitive(q) and least_rotation(q) == q]
         assert len(roots) == 196
+        tops = [{q: extremal_rotation(q, order, "greatest") for q in roots}
+                for order in (NATURAL, REVERSED)]
         shared = tight = 0
         for q, q2 in combinations(roots, 2):
             p, p2 = len(q), len(q2)
@@ -368,6 +376,9 @@ class TestMaximalEdge:
                     shared += 1
                     assert p != p2 and r + 2 <= p + p2 - gcd(p, p2), (q, q2, r)
                     tight += r + 2 == p + p2 - gcd(p, p2)
+                for top in tops:
+                    assert (power_to_length(top[q], r + 1)
+                            != power_to_length(top[q2], r + 1)), (q, q2, r)
         assert (shared, tight) == (132, 42)
 
 
@@ -434,11 +445,13 @@ class TestIndependenceRank:
         assert independence_rank("abcabc", 1) == 0
 
     def test_equals_circuit_count(self):
+        # the exact rank of the circuits' edge sets, by the oracle
         rng = random.Random(47)
         for _ in range(150):
             w = random_word(rng, "abc", 1, 20)
             for r in range(1, len(w) + 1):
-                assert independence_rank(w, r) == len(small_circuits(w, r))
+                edges = [realize(c).edges for c in small_circuits(w, r)]
+                assert independence_rank(w, r) == _edge_rank(edges) == len(edges), (w, r)
 
 
 class TestCyclesOracle:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sqcirc.circuits import _int_rank, independence_rank
+from sqcirc.circuits import independence_rank
 from sqcirc.rauzy import (
     RauzyEdge,
     RauzyGraph,
@@ -15,7 +15,7 @@ from sqcirc.rauzy import (
 )
 from sqcirc.words import complexity_profile
 
-from oracles import elementary_cycles_oracle
+from oracles import _int_rank, elementary_cycles_oracle
 
 # carries three nested circuits over aab, aaab, aaaab at order five
 NEST_WORD = "abaaabaabaaaaba"
