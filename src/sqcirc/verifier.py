@@ -130,7 +130,7 @@ class WordAnalysis:
         """
         w = self.word
         wa, m = w + a, 0
-        while wa[-m - 1:] in w:  # m: the longest suffix of wa that occurs in w
+        while wa[-m - 1:] in w:  # beats an automaton here: no undo log on backtrack
             m += 1
         child = WordAnalysis(wa)
         fields, mine = vars(child), vars(self)

@@ -7,6 +7,7 @@ rotation at position i is w_i..w_t w_1..w_{i-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional
 
 
@@ -263,33 +264,6 @@ def complexity(w: str, n: int) -> int:
     return len(factors(w, n))
 
 
-def _suffix_array(w: str) -> list[int]:
-    # desk scale: direct sort on suffix slices
-    return sorted(range(len(w)), key=lambda i: w[i:])
-
-
-def _lcp_array(w: str, sa: list[int]) -> list[int]:
-    # Kasai; lcp[r] = longest common prefix of sa[r] and sa[r+1]
-    n = len(w)
-    rank = [0] * n
-    for r, i in enumerate(sa):
-        rank[i] = r
-    lcp = [0] * (n - 1) if n > 1 else []
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r == n - 1:
-            h = 0
-            continue
-        j = sa[r + 1]
-        while i + h < n and j + h < n and w[i + h] == w[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
-
-
 def longest_repeated_factor(w: str) -> int:
     """LRF(w): the length of the longest factor that occurs at least twice.
 
@@ -312,25 +286,49 @@ def _profile_lrf(profile: tuple[int, ...]) -> int:
 def complexity_profile(w: str) -> tuple[int, ...]:
     """C_w(n) for n = 0..|w|+1 in one pass (last entry is always 0).
 
-    C_w(n) counts distinct length-n windows: of the |w|-n+1 windows, one per
-    suffix long enough, duplicates are adjacent in suffix order and a window
-    is repeated exactly when the neighbouring lcp reaches n.
+    Lemma (m-sequence): let m_j be the length of the longest suffix of
+    w[:j+1] that occurs in w[:j]. Then C_w(k) = #{j : m_j < k <= j+1} for
+    k >= 1. Proof sketch: every factor of w has a first occurrence, ending
+    at some j. By the lemma of extend_profile, the factors whose first
+    occurrence ends at j are the suffixes of w[:j+1] longer than m_j, one
+    of each length k in (m_j, j+1]. One difference array sums them.
+
+    The m_j come from the suffix automaton of w, built online in O(|w|)
+    steps (Blumer et al., "The smallest automaton recognizing the subwords
+    of a text", TCS 1985). The suffix link of the state of w[:j+1] leads to
+    the state of its longest suffix that also occurs in w[:j], so m_j is
+    the length of that state.
     """
     n = len(w)
-    if n == 0:
-        return (1, 0)
-    sa = _suffix_array(w)
-    lcp = _lcp_array(w, sa)
-    at_least = [0] * (n + 2)
-    for v in lcp:
-        at_least[min(v, n)] += 1
-    for k in range(n - 1, 0, -1):
-        at_least[k] += at_least[k + 1]
-    prof = [1]
-    for k in range(1, n + 1):
-        prof.append((n - k + 1) - at_least[k])
-    prof.append(0)
-    return tuple(prof)
+    nxt, link, length = [{}], [-1], [0]
+    diff = [0] * (n + 2)
+    last = 0
+    for j, c in enumerate(w):
+        cur = len(length)
+        nxt.append({})
+        link.append(0)
+        length.append(j + 1)
+        p = last
+        while p >= 0 and c not in nxt[p]:
+            nxt[p][c] = cur
+            p = link[p]
+        if p >= 0:
+            q = nxt[p][c]
+            if length[q] == length[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(length)
+                nxt.append(nxt[q].copy())
+                link.append(link[q])
+                length.append(length[p] + 1)
+                while p >= 0 and nxt[p].get(c) == q:
+                    nxt[p][c] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+        diff[length[link[cur]] + 1] += 1
+        diff[j + 2] -= 1
+    return (1, *accumulate(diff[1:n + 1]), 0)
 
 
 def extend_profile(profile: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -343,7 +341,8 @@ def extend_profile(profile: tuple[int, ...], m: int) -> tuple[int, ...]:
     occurs in w occurs there too, so the suffixes that occur are those of
     length at most m. Hence C_wa(k) = C_w(k) + [k > m] for k <= |w|, then
     1 and 0; and LRF(wa) = max(LRF(w), m), as a factor repeated in wa but
-    not in w is a suffix of wa that also occurs in w.
+    not in w is a suffix of wa that also occurs in w. complexity_profile
+    is the batch form, summing this lemma over every prefix of a word.
 
     >>> extend_profile(complexity_profile("aabab"), 3) == complexity_profile("aababa")
     True

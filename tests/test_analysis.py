@@ -67,10 +67,9 @@ def count_calls(monkeypatch, *functions) -> Counter:
 def calls(monkeypatch):
     """Count calls to the engines that WordAnalysis's fields are read off:
     the period runs, the squares and circuit ranges read off them, and the
-    complexity profile; and to the suffix array, which the profile builds
-    and LRF is read off."""
+    complexity profile, which LRF is read off."""
     return count_calls(monkeypatch, period_runs, distinct_squares,
-                       circuit_order_ranges, complexity_profile, words._suffix_array)
+                       circuit_order_ranges, complexity_profile)
 
 
 def forbid(monkeypatch, target, name):
@@ -86,8 +85,7 @@ class TestOncePerWord:
         assert main(["check", w, *flags]) == 0
         capsys.readouterr()
         assert calls == {"period_runs": 1, "distinct_squares": 1,
-                         "circuit_order_ranges": 1, "complexity_profile": 1,
-                         "_suffix_array": 1}
+                         "circuit_order_ranges": 1, "complexity_profile": 1}
 
     @pytest.mark.parametrize("command", ["inject", "classes", "squares", "circuits"])
     def test_word_commands_scan_once(self, calls, capsys, command):
@@ -98,7 +96,7 @@ class TestOncePerWord:
         assert main([command, EXAMPLE_22 * 3]) == 0
         capsys.readouterr()
         assert calls == dict.fromkeys(
-            ["period_runs", "complexity_profile", "_suffix_array", *read], 1)
+            ["period_runs", "complexity_profile", *read], 1)
 
     @pytest.mark.parametrize("command,w", [("check", fibonacci(300)),
                                            ("circuits", EXAMPLE_22 * 3)],
@@ -153,7 +151,6 @@ class TestOncePerWord:
         summary = exhaustive_search(2, 8)
         words = sum(canonical_count(2, n) for n in range(1, 9))
         assert summary.words_checked == words == new["suffix_squares"]
-        # the empty root's profile needs no suffix array
         assert calls == dict.fromkeys(["period_runs", "distinct_squares",
                                        "circuit_order_ranges", "complexity_profile"], 1)
         calls.clear()
@@ -164,7 +161,7 @@ class TestOncePerWord:
         assert sum(unit[0] for unit in units) == words == new["suffix_squares"] + len(roots)
         assert calls == dict.fromkeys(
             ["period_runs", "distinct_squares", "circuit_order_ranges",
-             "complexity_profile", "_suffix_array"], len(roots))
+             "complexity_profile"], len(roots))
 
     def test_sweep_runs_the_battery_once_per_word(self, monkeypatch):
         # the battery's direct engine runs once per word, on every word

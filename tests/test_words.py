@@ -2,9 +2,11 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from sqcirc import canonical_words
 from sqcirc.words import (
     NATURAL,
     RationalExponent,
@@ -275,11 +277,16 @@ class TestComplexity:
 
     def test_profile_matches_direct_counts(self):
         rng = random.Random(16)
-        for _ in range(100):
-            w = random_word(rng, "abc", 1, 24)
+        words = [w for k, top in ((2, 12), (3, 8)) for n in range(top + 1)
+                 for w in canonical_words(k, n)]
+        words += ["".join(chr(rng.randrange(300)) for _ in range(rng.randint(1, 60)))
+                  for _ in range(200)]
+        words += ["ñaña", "a\U0001F600ab\U0001F600a", "a" * 300, fibonacci(384),
+                  thue_morse(384)]
+        for w in words:
             prof = complexity_profile(w)
             assert len(prof) == len(w) + 2
-            assert prof == tuple(complexity(w, n) for n in range(len(w) + 2))
+            assert prof == tuple(complexity(w, n) for n in range(len(w) + 2)), w
 
     def test_profile_of_empty_word(self):
         assert complexity_profile("") == (1, 0)
@@ -293,17 +300,45 @@ class TestComplexity:
             assert prof[len(w) + 1] == 0
             assert all(prof[n + 1] <= k * prof[n] for n in range(len(w) + 1))
 
-    def test_sturmian_closed_form(self):
+    @pytest.mark.parametrize("n,top", [(6765, 2585), (121393, 46369)])
+    def test_sturmian_closed_form(self, n, top):
         # Morse & Hedlund (1940): C(r) = r + 1 on a Sturmian word; the
-        # Fibonacci prefix of length 6,765 keeps it up to r = 2,585
-        prof = complexity_profile(fibonacci(6765))
-        assert all(prof[r] == r + 1 for r in range(2586))
+        # Fibonacci prefix of length n keeps it up to r = top
+        prof = complexity_profile(fibonacci(n))
+        assert all(prof[r] == r + 1 for r in range(top + 1))
 
-    def test_arnoux_rauzy_closed_form(self):
+    @pytest.mark.parametrize("n,top", [(8000, 2031), (100000, 23249)])
+    def test_arnoux_rauzy_closed_form(self, n, top):
         # Arnoux & Rauzy (1991): C(r) = 2r + 1 on the Tribonacci word; its
-        # prefix of length 8,000 keeps it up to r = 2,031
-        prof = complexity_profile(tribonacci(8000))
-        assert all(prof[r] == 2 * r + 1 for r in range(2032))
+        # prefix of length n keeps it up to r = top
+        prof = complexity_profile(tribonacci(n))
+        assert all(prof[r] == 2 * r + 1 for r in range(top + 1))
+
+    def test_thue_morse_closed_form(self):
+        # Brlek (1989): for r = 2^k + p + 1 with 0 < p <= 2^k, C(r) is
+        # 6*2^(k-1) + 4p if p <= 2^(k-1), else 8*2^(k-1) + 2p; the prefix of
+        # length 2^17 keeps it up to r = 32,769
+        def closed(r):
+            if r < 3:
+                return (1, 2, 4)[r]
+            k = (r - 2).bit_length() - 1
+            p = r - 1 - 2 ** k
+            return 3 * 2 ** k + 4 * p if 2 * p <= 2 ** k else 4 * 2 ** k + 2 * p
+        prof = complexity_profile(thue_morse(2 ** 17))
+        assert all(prof[r] == closed(r) for r in range(32770))
+
+    def test_profile_memory(self):
+        # the automaton's O(|w|) states take about 9 MiB here; an engine
+        # holding whole suffix slices, n^2/2 characters, takes over 128 MiB
+        rng = random.Random(1)
+        w = "".join(rng.choice("ab") for _ in range(16384))
+        tracemalloc.start()
+        try:
+            complexity_profile(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestCommonRoot:
