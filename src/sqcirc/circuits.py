@@ -183,11 +183,17 @@ def direct_order_ranges(w: str, profile: tuple[int, ...]) -> dict[str, tuple[int
     ends = {w[t:t+p] : w[t] == w[t+p]} and closes after exactly p steps (fewer:
     u is a power). p ends need p starts t < n - p. Lemma (complexity): the p
     rotations of a primitive q are distinct factors of length p, so no root of
-    length p exists when C_w(p) < p, and p is skipped. Lemma (monotonicity): the
-    windows of length L of q^oo are prefixes of those of length L+1, and
-    factors are prefix closed, so the orders form [|q|, M-1], M the largest
-    length whose windows all occur (binary search). Lemma (roots <= LRF): every
-    small circuit has |q| <= r <= LRF(w) (see circuit_order_ranges): M <= LRF(w)+1.
+    length p exists when C_w(p) < p, and p is skipped. Lemma (roots <= LRF):
+    every small circuit has |q| <= r <= LRF(w) (see circuit_order_ranges).
+    Lemma (min extension, so monotonicity): let x = q^oo and e_i the length
+    of the longest prefix of x[i:] that occurs in w; the orders of [q] form
+    [p, M-1], M = min(e_0, ..., e_{p-1}, LRF(w)+1). Proof sketch: factors
+    are prefix closed, so x[i:i+L] occurs iff L <= e_i, and all p windows of
+    length L occur iff L <= every e_i; M-1 <= LRF(w) by the LRF lemma. So
+    e_0 is found by galloping, then bisecting, one window per test, and for
+    i = 1..p-1 the minimum m drops while x[i:i+m] does not occur: each i
+    costs at most one test that passes, plus one per unit m drops, and m
+    never drops below p+1, as the closed orbit's edges occur.
     """
     n, lrf, ranges = len(w), _profile_lrf(profile), {}
     for p in range(1, min(lrf, n // 2) + 1):
@@ -199,16 +205,19 @@ def direct_order_ranges(w: str, profile: tuple[int, ...]) -> dict[str, tuple[int
             root, v, steps = u, u[1:] + u[0], 1
             while v in ends:
                 ends.remove(v)
-                root, v, steps = min(root, v), v[1:] + v[0], steps + 1
+                root, v, steps = v if v < root else root, v[1:] + v[0], steps + 1
             if v == u and steps == p:
-                x, good, bad = power_to_length(root, lrf + p), p + 1, lrf + 2
-                while bad - good > 1:  # M in [good, bad)
-                    mid = (good + bad) // 2
-                    if all(x[i:i + mid] in w for i in range(p)):
-                        good = mid
+                x, m, bad, step = root * (lrf // p + 2), p + 1, lrf + 2, 1
+                while bad - m > 1:  # e_0 in [m, bad): gallop until a test fails, then bisect
+                    probe = min(m + step, bad - 1) if step else (m + bad) // 2
+                    if x[:probe] in w:
+                        m, step = probe, 2 * step
                     else:
-                        bad = mid
-                ranges[root] = (p, good - 1)
+                        bad, step = probe, 0
+                for i in range(1, p):
+                    while m > p + 1 and x[i:i + m] not in w:
+                        m -= 1
+                ranges[root] = (p, m - 1)
     return ranges
 
 

@@ -149,17 +149,15 @@ def _cmd_inject(args, order) -> int:
 def _cmd_check(args, order) -> int:
     analysis = WordAnalysis(args.word)
     report, bad = analysis.report, analysis.violations
-    if args.json:  # in batches, so neither the text nor its bytes are held whole
-        batch, size = [], 0
-        for part in analysis.json_parts(order):
-            batch.append(part)
-            size += len(part)
-            if size >= BATCH:
-                sys.stdout.write("".join(batch))
-                batch, size = [], 0
-        sys.stdout.write("".join(batch))
-    else:
-        sys.stdout.write(analysis.text(order))
+    batch, size = [], 0  # in batches, so neither the text nor its bytes are held whole
+    for part in analysis.json_parts(order) if args.json else analysis.text_parts(order):
+        batch.append(part)
+        size += len(part)
+        if size >= BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
+    if not args.json:
         for msg in bad:
             print(f"violation: {msg}")
     return OK if report.holds and report.chain_holds and not bad else VIOLATION

@@ -7,14 +7,14 @@ determines its root class and its order.
 
 One core, class_images, maps the rows of squares.class_rows to plain
 (square, circuit root, order) images; inject_class, audit_injection and
-build_injection wrap it.
+build_injection wrap it, and missing_images looks each image up in the
+circuit order ranges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import (SmallCircuit, _canonical_circuit, circuit_order_ranges,
-                       circuit_pairs)
+from .circuits import SmallCircuit, _canonical_circuit, circuit_order_ranges
 from .squares import Square, SquareClass, class_rows, distinct_squares, period_runs
 
 
@@ -58,14 +58,22 @@ def build_injection(w: str) -> InjectionReport:
     """The full map over every class, with its health flags, from one scan."""
     runs = period_runs(w)
     return audit_injection(class_images(class_rows(distinct_squares(w, runs))),
-                           circuit_pairs(circuit_order_ranges(w, runs)))
+                           circuit_order_ranges(w, runs))
+
+
+def missing_images(images: list[tuple[Square, str, int]],
+                   ranges: dict[str, tuple[int, int]]) -> set[tuple[str, int]]:
+    """The (circuit root, order) images of class_images that name no circuit
+    of ranges, w's circuit_order_ranges: one lookup per image."""
+    return {(root, r) for _, root, r in images
+            for lo, hi in [ranges.get(root, (1, 0))] if not lo <= r <= hi}
 
 
 def audit_injection(images: list[tuple[Square, str, int]],
-                    existing: frozenset[tuple[str, int]]) -> InjectionReport:
-    """Audit the images of class_images against the existing circuits.
+                    ranges: dict[str, tuple[int, int]]) -> InjectionReport:
+    """Audit the images of class_images against the circuits of ranges, w's
+    circuit_order_ranges.
 
-    existing holds the small circuits of w as (root, order) pairs.
     Assignments come in square order: shortest square first, then
     lexicographic. A missing image or a collision would falsify the bound,
     so both are reported rather than raised.
@@ -75,7 +83,7 @@ def audit_injection(images: list[tuple[Square, str, int]],
         assignments=tuple((sq, _canonical_circuit(root, r)) for sq, root, r
                           in sorted(images, key=lambda m: (len(m[0].word), m[0].word))),
         injective=len(set(pairs)) == len(pairs),
-        all_images_exist=existing.issuperset(pairs),
+        all_images_exist=not missing_images(images, ranges),
         square_count=len(images),
-        circuit_count=len(existing),
+        circuit_count=sum(hi - lo + 1 for lo, hi in ranges.values()),
     )

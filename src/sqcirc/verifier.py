@@ -20,7 +20,7 @@ from .circuits import (
     extend_order_ranges,
     order_counts,
 )
-from .injection import InjectionReport, audit_injection, class_images
+from .injection import InjectionReport, audit_injection, class_images, missing_images
 from .rauzy import RauzyGraph, build_rauzy
 from .squares import (
     Square,
@@ -122,11 +122,11 @@ class WordAnalysis:
         order m and the edge wa[-(m+1):].
 
         The class rows and their images are functions of the squares alone,
-        and the circuit pairs and counts of the ranges alone; so when the
-        child's squares (ranges) object is this one's, it reads this one's
-        rows and images (existing and counts), if computed. When the letter
-        adds squares, the child's rows are this one's, if computed, extended
-        by squares.extend_rows; its images stay lazy.
+        and the circuit counts of the ranges alone; so when the child's
+        squares (ranges) object is this one's, it reads this one's rows and
+        images (counts), if computed. When the letter adds squares, the
+        child's rows are this one's, if computed, extended by
+        squares.extend_rows; its images stay lazy.
         """
         w = self.word
         wa, m = w + a, 0
@@ -138,7 +138,7 @@ class WordAnalysis:
         new = suffix_squares(wa, m)
         fields["squares"] = self.squares.union(new) if new else self.squares
         ranges = fields["ranges"] = extend_order_ranges(self.ranges, wa, m)
-        shared = ("existing", "counts") if ranges is self.ranges else ()
+        shared = ("counts",) if ranges is self.ranges else ()
         if not new:
             shared += ("rows", "images")
         elif "rows" in mine:
@@ -166,11 +166,6 @@ class WordAnalysis:
         return circuit_order_ranges(self.word, self._runs_for("squares"))
 
     @_lazy
-    def existing(self) -> frozenset[tuple[str, int]]:
-        """The small circuits as (root, order) pairs."""
-        return circuit_pairs(self.ranges)
-
-    @_lazy
     def counts(self) -> dict[int, int]:
         return order_counts(self.ranges)
 
@@ -186,7 +181,7 @@ class WordAnalysis:
 
     @_lazy
     def injection(self) -> InjectionReport:
-        return audit_injection(self.images, self.existing)
+        return audit_injection(self.images, self.ranges)
 
     @_lazy
     def report(self) -> TheoremReport:
@@ -207,10 +202,11 @@ class WordAnalysis:
         """The messages of every invariant that fails; see verify_word.
 
         Reads the class rows, their images, the circuit counts and the
-        profile directly: no SmallCircuit, InjectionReport or TheoremReport
-        is built unless an image is missing, and then only to name it.
+        profile directly, and looks each image up in the ranges: no
+        SmallCircuit, InjectionReport or TheoremReport is built unless an
+        image is missing, and then only to name it.
         """
-        w, counts, prof, existing = self.word, self.counts, self.profile, self.existing
+        w, counts, prof = self.word, self.counts, self.profile
         bad: list[str] = []
         nonempty, sc_total = len(self.squares), sum(counts.values())
         if nonempty > sc_total:
@@ -225,23 +221,24 @@ class WordAnalysis:
         for r, sc_r in sorted(counts.items()):
             if sc_r > (cap := prof[r + 1] - prof[r] + 1):
                 bad.append(f"{w}: order {r} has {sc_r} circuits, cap {cap}")
-        pairs = [(root, r) for _, root, r in self.images]
-        if not existing.issuperset(pairs):  # only then name the missing ones
+        if missing := missing_images(self.images, self.ranges):  # only then name them
             bad.extend(f"{w}: image {circ} of {sq.word} does not exist"
                        for sq, circ in self.injection.assignments
-                       if (circ.root, circ.order) not in existing)
+                       if (circ.root, circ.order) in missing)
         for v, _, _, members in self.rows:
             for sq, i, j in members:
                 if rebuild_from_coordinates(v, i, j) != sq.word:
                     bad.append(f"{w}: coordinates ({i},{j}) do not rebuild {sq.word}")
+        pairs = [(root, r) for _, root, r in self.images]
         if len(set(pairs)) != len(pairs):
             bad.append(f"{w}: injection images collide")
-        ranges = direct_order_ranges(w, prof)
-        if ranges != self.ranges:  # equal ranges name equal circuits at every order
-            found = order_counts(ranges)
+        direct = direct_order_ranges(w, prof)
+        if direct != self.ranges:  # equal ranges name equal circuits at every order
+            found = order_counts(direct)
             bad.extend(f"{w}: order {r} enumerators disagree ({found.get(r, 0)} direct "
                        f"vs {counts.get(r, 0)} batched)"
-                       for r in sorted({r for _, r in circuit_pairs(ranges) ^ existing}))
+                       for r in sorted({r for _, r in
+                                        circuit_pairs(direct) ^ circuit_pairs(self.ranges)}))
         # no check of maximal edges or rank: the lemma in circuits.maximal_edge
         # makes both hold on every engine's output
         return tuple(bad)
@@ -310,30 +307,35 @@ class WordAnalysis:
         return [head, *circuits, tail]
 
     def text(self, order: SymbolOrder) -> str:
-        """The plain-text report printed by `sqcirc check`."""
+        """The plain-text report printed by `sqcirc check`: the join of
+        text_parts."""
+        return "".join(self.text_parts(order))
+
+    def text_parts(self, order: SymbolOrder):
+        """The lines of text, each with its newline, which `sqcirc check`
+        writes in turn, so the report is never held whole."""
         w, report, injection = self.word, self.report, self.injection
-        out = [f"word: {w}  (length {len(w)}, alphabet size {report.alphabet_size})"]
-        out.append(f"nonempty squares ({report.nonempty_squares}): "
-                   + ", ".join(s.word for s in sorted(self.squares)))
-        out.append("classes:")
-        out.extend("  " + row for row in class_table(self.rows))
-        out.append(f"small circuits ({report.small_circuit_total}):")
+        yield f"word: {w}  (length {len(w)}, alphabet size {report.alphabet_size})\n"
+        yield (f"nonempty squares ({report.nonempty_squares}): "
+               f"{', '.join(s.word for s in sorted(self.squares))}\n")
+        yield "classes:\n"
+        yield from (f"  {row}\n" for row in class_table(self.rows))
+        yield f"small circuits ({report.small_circuit_total}):\n"
         for r, row in groupby(circuit_blocks(self.ranges, order, lambda _: None),
                               key=lambda c: c[1]):
-            out.append(f"  r={r}: " + ", ".join(f"C({q},{r}) max_edge={top}"
-                                                for q, _, _, _, top in row))
-        out.append("injection:")
-        out.extend(f"  {sq.word} -> {circ}" for sq, circ in injection.assignments)
-        out.append(f"  injective: {injection.injective}, "
-                   f"images exist: {injection.all_images_exist}")
+            yield f"  r={r}: " + ", ".join(f"C({q},{r}) max_edge={top}"
+                                           for q, _, _, _, top in row) + "\n"
+        yield "injection:\n"
+        yield from (f"  {sq.word} -> {circ}\n" for sq, circ in injection.assignments)
+        yield (f"  injective: {injection.injective}, "
+               f"images exist: {injection.all_images_exist}\n")
         verdict = "holds" if report.holds else "VIOLATED"
-        out.append(f"theorem: S(w) = {report.square_count_with_empty} <= "
-                   f"{report.bound} = |w| - |Alph(w)| + 1  ... {verdict}")
-        out.append(f"chain: S-1 = {report.nonempty_squares} <= sc = "
-                   f"{report.small_circuit_total} <= {len(w) - report.alphabet_size}"
-                   f" = |w| - |Alph(w)|  ... "
-                   + ("holds" if report.chain_holds else "VIOLATED"))
-        return "\n".join(out) + "\n"
+        yield (f"theorem: S(w) = {report.square_count_with_empty} <= "
+               f"{report.bound} = |w| - |Alph(w)| + 1  ... {verdict}\n")
+        yield (f"chain: S-1 = {report.nonempty_squares} <= sc = "
+               f"{report.small_circuit_total} <= {len(w) - report.alphabet_size}"
+               f" = |w| - |Alph(w)|  ... "
+               + ("holds" if report.chain_holds else "VIOLATED") + "\n")
 
 
 def class_table(rows) -> list[str]:

@@ -6,6 +6,7 @@ rotation at position i is w_i..w_t w_1..w_{i-1}.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional
@@ -278,9 +279,10 @@ def longest_repeated_factor(w: str) -> int:
 
 def _profile_lrf(profile: tuple[int, ...]) -> int:
     # LRF(w) is the largest k with C_w(k) < |w|-k+1: fewer distinct length-k
-    # windows than windows means one of them repeats
+    # windows than windows means one of them repeats. Bisected, as once the
+    # windows of length k are distinct, so are the longer ones they start
     n = len(profile) - 2
-    return max((k for k in range(1, n) if profile[k] < n - k + 1), default=0)
+    return bisect_left(range(1, n), True, key=lambda k: profile[k] == n - k + 1)
 
 
 def complexity_profile(w: str) -> tuple[int, ...]:

@@ -18,7 +18,8 @@ from sqcirc.circuits import (
     order_counts,
 )
 from sqcirc.cli import main
-from sqcirc.injection import InjectionReport, build_injection, class_images
+from sqcirc.injection import (InjectionReport, build_injection, class_images,
+                              missing_images)
 from sqcirc.squares import class_rows, distinct_squares, period_runs, square_classes
 from sqcirc.verifier import (
     TheoremReport,
@@ -231,7 +232,8 @@ class TestIncrementalWalk:
                 assert a.ranges == circuit_order_ranges(w), w
                 assert a.rows == class_rows(a.squares), w
                 assert a.images == class_images(a.rows), w
-                assert a.existing == circuit_pairs(a.ranges), w
+                assert missing_images(a.images, a.ranges) == set(), w
+                assert {(q, r) for _, q, r in a.images} <= circuit_pairs(a.ranges), w
                 assert a.counts == order_counts(a.ranges), w
                 for q, (lo, hi) in a.ranges.items():
                     assert is_primitive(q) and q == least_rotation(q), w
@@ -273,8 +275,8 @@ class TestIncrementalWalk:
     # a child keeps its parent's fields of what did not change, extends the
     # rows by its new squares, and leaves the rest to be computed on use
     @pytest.mark.parametrize("w,a,kept,extended,lazy", [
-        ("abacbab", "a", ("existing", "counts"), ("rows",), ("images",)),  # adds baba
-        ("aa", "a", ("rows", "images"), (), ("existing", "counts")),  # adds C(a,2)
+        ("abacbab", "a", ("counts",), ("rows",), ("images",)),  # adds baba
+        ("aa", "a", ("rows", "images"), (), ("counts",)),  # adds C(a,2)
     ])
     def test_a_child_reads_the_fields_its_parent_computed(self, w, a, kept, extended, lazy):
         parent = WordAnalysis(w)
@@ -360,11 +362,15 @@ class TestBattery:
         return verify_word("aababa")
 
     def test_missing_image(self, monkeypatch):
-        # the existing circuits lack C(ab,3), the image of baba
-        assert self.faked_battery(
-            monkeypatch, verifier, "circuit_pairs",
-            lambda original, ranges: original(ranges) - {("ab", 3)}) == [
-            "aababa: image C(ab,3) of baba does not exist"]
+        # the ranges the battery looks the images up in stop [ab] at order 2,
+        # so they lack C(ab,3), the image of baba; the counts and the direct
+        # engine keep their own, so only the lookup can name it
+        a = WordAnalysis("aababa")
+        assert a.counts == {1: 1, 2: 1, 3: 1}
+        a.__dict__["ranges"] = {**a.ranges, "ab": (2, 2)}
+        self.fake_direct_engine(monkeypatch, lambda ranges: {**ranges, "ab": (2, 2)})
+        assert a.violations == ("aababa: image C(ab,3) of baba does not exist",)
+        assert not a.injection.all_images_exist
 
     def test_colliding_images(self, monkeypatch):
         # every member of a class goes to its first member's image
@@ -435,7 +441,8 @@ class TestFieldsMatchStandaloneFunctions:
         circuits = all_small_circuits(w)
         assert a.squares == distinct_squares(w)
         assert a.counts == circuit_counts_by_order(w)
-        assert a.existing == {(c.root, c.order) for c in circuits}
+        assert circuit_pairs(a.ranges) == {(c.root, c.order) for c in circuits}
+        assert a.injection.circuit_count == len(circuits)
         assert a.injection == build_injection(w)
         assert a.report == theorem_check(w)
         assert list(a.violations) == verify_word(w) == []

@@ -270,6 +270,24 @@ class TestFactorTestEngine:
         assert direct_order_ranges(w, complexity_profile(w)) == {"a": (1, 511)}
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("w,most", [(fibonacci(2048), 4000), ("a" * 65536, 64)],
+                             ids=["fib2048", "unary65536"])
+    def test_factor_tests_per_word(self, w, most):
+        # the min-extension lemma: rotation 0 gallops, and each other rotation
+        # costs one test that passes plus one per unit the minimum drops. A
+        # bisection testing every window per probe took 16,351 tests on
+        # Fibonacci 2,048; a linear walk up rotation 0 would take 65,535 on
+        # unary 65,536
+        class Counted(str):
+            tests = 0
+
+            def __contains__(self, x):
+                Counted.tests += 1
+                return super().__contains__(x)
+        ranges = direct_order_ranges(Counted(w), complexity_profile(w))
+        assert Counted.tests <= most
+        assert ranges == ({"a": (1, 65535)} if len(set(w)) == 1 else circuit_order_ranges(w))
+
     def test_distinct_maximal_edges_mean_full_rank(self):
         # the maximal-edge and triangle lemmas, at every order of every word
         checked = 0

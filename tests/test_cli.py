@@ -1,9 +1,16 @@
 """Command line interface tests, run in process through main()."""
+import io
 import json
+import sys
 
 import pytest
 
+from sqcirc import cli
 from sqcirc.cli import main
+from sqcirc.verifier import WordAnalysis
+from sqcirc.words import NATURAL, SymbolOrder
+
+from oracles import fibonacci
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
 
@@ -121,6 +128,28 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["word"] == "aababa"
         assert doc["theorem"]["holds"] is True
+
+    @pytest.mark.parametrize("batch", [1, cli.BATCH])
+    @pytest.mark.parametrize("w", [fibonacci(200), "aababa", EXAMPLE_22, "ñaña", "a" * 40],
+                             ids=["fib200", "aababa", "paper22", "nonascii", "unary40"])
+    def test_text_batches_join_to_text(self, monkeypatch, w, batch):
+        # the plain report is written as the JSON document is: text_parts in
+        # batches of at least BATCH characters, every write but the last full
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, s):
+                writes.append(len(s))
+                return super().write(s)
+        monkeypatch.setattr(cli, "BATCH", batch)
+        for order in (NATURAL, SymbolOrder.from_string("".join(sorted(set(w), reverse=True)))):
+            writes.clear()
+            monkeypatch.setattr(sys, "stdout", Recorder())
+            flags = [] if order is NATURAL else ["--order", "".join(order.symbols)]
+            assert main(["check", w, *flags]) == 0
+            assert sys.stdout.getvalue() == WordAnalysis(w).text(order), (w, order)
+            assert all(n >= batch for n in writes[:-1]), writes
+            assert len(writes) > 1 or batch > 1
 
     def test_empty_word_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "")

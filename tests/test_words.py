@@ -11,6 +11,7 @@ from sqcirc.words import (
     NATURAL,
     RationalExponent,
     SymbolOrder,
+    _profile_lrf,
     alphabet,
     common_root,
     complexity,
@@ -287,6 +288,20 @@ class TestComplexity:
             prof = complexity_profile(w)
             assert len(prof) == len(w) + 2
             assert prof == tuple(complexity(w, n) for n in range(len(w) + 2)), w
+
+    def test_profile_lrf_bisects_to_the_brute_scan(self):
+        # LRF is the largest k with C_w(k) < |w|-k+1 (0 when there is none):
+        # _profile_lrf bisects for it, the brute scan tries every k
+        rng = random.Random(18)
+        words = [w for k, top in ((2, 12), (3, 8)) for n in range(1, top + 1)
+                 for w in canonical_words(k, n)]
+        words += [random_word(rng, "abcd"[:rng.randint(1, 4)], 1, 80) for _ in range(200)]
+        words += ["", "a", "a" * 300, fibonacci(384)]
+        for w in words:
+            n = len(w)
+            brute = max((k for k in range(1, n + 1) if complexity(w, k) < n - k + 1),
+                        default=0)
+            assert _profile_lrf(complexity_profile(w)) == brute, w
 
     def test_profile_of_empty_word(self):
         assert complexity_profile("") == (1, 0)
