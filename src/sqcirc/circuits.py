@@ -19,8 +19,9 @@ in w, and the edge wa[-(m+1):].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
+from typing import NamedTuple
 
 from .rauzy import RauzyGraph, VectorCycle
 from .squares import period_runs
@@ -35,8 +36,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class SmallCircuit:
+class SmallCircuit(namedtuple("SmallCircuit", "root order")):
     """C(root, order): the circuit of [root] in Gamma_order.
 
     The root is normalized to the least rotation of its conjugacy class under
@@ -44,24 +44,22 @@ class SmallCircuit:
     conjugate they were built from.
     """
 
-    root: str
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.root:
+    def __new__(cls, root: str, order: int) -> SmallCircuit:
+        if not root:
             raise ValueError("empty circuit root")
-        if not is_primitive(self.root):
-            raise ValueError(f"circuit root must be primitive: {self.root!r}")
-        if self.order < len(self.root):
+        if not is_primitive(root):
+            raise ValueError(f"circuit root must be primitive: {root!r}")
+        if order < len(root):
             raise ValueError("a small circuit needs |root| <= order")
-        object.__setattr__(self, "root", least_rotation(self.root))
+        return tuple.__new__(cls, (least_rotation(root), order))
 
     def __str__(self) -> str:
         return f"C({self.root},{self.order})"
 
 
-@dataclass(frozen=True)
-class CircuitRealization:
+class CircuitRealization(NamedTuple):
     vertices: frozenset[str]
     edges: frozenset[str]
 
@@ -69,9 +67,7 @@ class CircuitRealization:
 def _canonical_circuit(root: str, order: int) -> SmallCircuit:
     # SmallCircuit(root, order) for a root known to be the least rotation of
     # a primitive word no longer than order, without checks or least_rotation
-    c = object.__new__(SmallCircuit)
-    c.__dict__.update(root=root, order=order)
-    return c
+    return tuple.__new__(SmallCircuit, (root, order))
 
 
 def small_circuits(w: str, r: int) -> frozenset[SmallCircuit]:

@@ -12,14 +12,13 @@ circuit order ranges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuits import SmallCircuit, _canonical_circuit, circuit_order_ranges
 from .squares import Square, SquareClass, class_rows, distinct_squares, period_runs
 
 
-@dataclass(frozen=True)
-class InjectionReport:
+class InjectionReport(NamedTuple):
     assignments: tuple[tuple[Square, SmallCircuit], ...]
     injective: bool
     all_images_exist: bool

@@ -7,20 +7,18 @@ powers of a single letter.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import factors
 
 
-@dataclass(frozen=True, order=True)
-class RauzyEdge:
+class RauzyEdge(NamedTuple):
     label: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
-class RauzyGraph:
+class RauzyGraph(NamedTuple):
     order: int
     vertices: frozenset[str]
     edges: tuple[RauzyEdge, ...]
@@ -30,8 +28,7 @@ class RauzyGraph:
         return frozenset(e.label for e in self.edges)
 
 
-@dataclass(frozen=True)
-class VectorCycle:
+class VectorCycle(NamedTuple):
     """Per-edge visit counts of a cycle, keyed by edge label."""
 
     entries: tuple[tuple[str, int], ...]

@@ -10,25 +10,24 @@ squares that one more letter adds, and extend_rows adds them to the rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .words import is_primitive, least_rotation, longest_repeated_factor, primitive_root
 
 _MISMATCH = re.compile(rb"[^\x00]+")
 
 
-@dataclass(frozen=True, order=True)
-class Square:
-    half: str
-    word: str
+class Square(namedtuple("Square", "half word")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.half or self.word != self.half * 2:
+    def __new__(cls, half: str, word: str) -> Square:
+        if not half or word != half * 2:
             raise ValueError("a square is half + half with a nonempty half")
+        return tuple.__new__(cls, (half, word))
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(NamedTuple):
     root: str
     index: int
     members: frozenset[Square]

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .circuits import (
     circuit_blocks,
@@ -46,8 +46,7 @@ class CorpusError(Exception):
     """A corpus unit cannot be analyzed (for example, over the length cap)."""
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     word: str
     square_count_with_empty: int
     nonempty_squares: int
@@ -69,8 +68,7 @@ class TheoremReport:
                 and all(sc_r <= cap for _, sc_r, cap in self.per_order_counts))
 
 
-@dataclass(frozen=True)
-class SearchSummary:
+class SearchSummary(NamedTuple):
     alphabet_size: int
     max_len: int
     words_checked: int
@@ -94,7 +92,6 @@ class _lazy:
         return value
 
 
-@dataclass(frozen=True)
 class WordAnalysis:
     """Everything the bound's chain knows about one word: a frozen record of
     the word alone, each field computed on first use and kept, so a report
@@ -111,7 +108,22 @@ class WordAnalysis:
     sweep builds every word below its walk's root.
     """
 
-    word: str
+    def __init__(self, word: str) -> None:
+        self.__dict__["word"] = word
+
+    def __setattr__(self, name, value=None):  # frozen: serves as __delattr__ too
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
+
+    def __repr__(self) -> str:
+        return f"WordAnalysis(word={self.word!r})"
 
     def extend(self, a: str) -> WordAnalysis:
         """The analysis of word + a, its profile, squares and ranges extended
@@ -248,15 +260,16 @@ class WordAnalysis:
         a newline: the join of json_parts."""
         return "".join(self.json_parts(order))
 
-    def json_parts(self, order: SymbolOrder) -> list[str]:
-        """The parts of json_text, which `sqcirc check --json` writes in turn.
+    def json_parts(self, order: SymbolOrder):
+        """The parts of json_text, which `sqcirc check --json` writes in turn,
+        so the document is never held whole.
 
         Every member is rendered from templates that lay it out as
-        json.dumps(..., indent=2) nests it. The circuits come from
-        circuit_blocks, one joined block of windows per (root, length), each a
-        part of its own. Every string of the document is a word over w's
-        letters, so when w needs no JSON escape none does, and strings and
-        blocks are quoted as they are.
+        json.dumps(..., indent=2) nests it, one part or more per list entry.
+        The circuits come from circuit_blocks, one joined block of windows per
+        (root, length), each a part of its own. Every string of the document
+        is a word over w's letters, so when w needs no JSON escape none does,
+        and strings and blocks are quoted as they are.
         """
         w, report = self.word, self.report
         if encode_basestring_ascii(w) == f'"{w}"':
@@ -270,41 +283,39 @@ class WordAnalysis:
             def block(items):
                 return ",\n        ".join(map(quote, items))
 
-        def objects(rows):  # a member's list of objects, one "\n    {...}" row each
-            return "[" + ",".join(rows) + "\n  ]" if rows else "[]"
+        def objects(key, rows):  # key's list of objects, one "\n    {...}" row of parts each
+            sep = f',\n  "{key}": ['
+            for row in rows:
+                yield sep
+                yield from row
+                sep = ","
+            yield "\n  ]" if sep == "," else sep + "]"
 
-        head = "".join([
-            f'{{\n  "word": {quote(w)},\n  "length": {len(w)},\n  "alphabet": [\n    ',
-            ",\n    ".join(map(quote, sorted(set(w), key=order.sort_key))),
-            '\n  ],\n  "squares": ',
-            objects([f'\n    {{\n      "half": {quote(s.half)},\n      "word": '
-                     f'{quote(s.word)}\n    }}' for s in sorted(self.squares)]),
-            ',\n  "classes": ',
-            objects([f'\n    {{\n      "root": {quote(v)},\n      "index": '
-                     f'{index},\n      "members": [\n        '
-                     f'{block([sq.word for sq, _, _ in members])}\n      ]\n    }}'
-                     for v, index, _, members in self.rows]),
-            ',\n  "circuits": ['])
-        circuits = []
-        for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, block):
-            circuits += [f'\n    {{\n      "root": {quote(q)},\n      "order": {r},'
-                         '\n      "vertices": [\n        ', vertices,
-                         '\n      ],\n      "edges": [\n        ', edges,
-                         f'\n      ],\n      "maximal_edge": {quote(top)}\n    }}', ","]
-        circuits[-1:] = ["\n  ]" if circuits else "]"]
-        tail = "".join([
-            ',\n  "injection": ',
-            objects([f'\n    {{\n      "square": {quote(sq.word)},\n      "circuit": '
-                     f'{{\n        "root": {quote(circ.root)},\n        "order": '
-                     f'{circ.order}\n      }}\n    }}'
-                     for sq, circ in self.injection.assignments]),
+        yield (f'{{\n  "word": {quote(w)},\n  "length": {len(w)},\n  "alphabet": [\n    '
+               + ",\n    ".join(map(quote, sorted(set(w), key=order.sort_key))) + "\n  ]")
+        yield from objects("squares", (
+            [f'\n    {{\n      "half": {quote(s.half)},\n      "word": {quote(s.word)}\n    }}']
+            for s in sorted(self.squares)))
+        yield from objects("classes", (
+            [f'\n    {{\n      "root": {quote(v)},\n      "index": {index},\n      "members": '
+             '[\n        ', block([sq.word for sq, _, _ in members]), '\n      ]\n    }']
+            for v, index, _, members in self.rows))
+        yield from objects("circuits", (
+            [f'\n    {{\n      "root": {quote(q)},\n      "order": {r},\n      "vertices": '
+             '[\n        ', vertices, '\n      ],\n      "edges": [\n        ', edges,
+             f'\n      ],\n      "maximal_edge": {quote(top)}\n    }}']
+            for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, block)))
+        yield from objects("injection", (
+            [f'\n    {{\n      "square": {quote(sq.word)},\n      "circuit": {{\n        '
+             f'"root": {quote(circ.root)},\n        "order": {circ.order}\n      }}\n    }}']
+            for sq, circ in self.injection.assignments))
+        yield "".join([
             f',\n  "theorem": {{\n    "S": {report.square_count_with_empty},\n    '
             f'"bound": {report.bound},\n    "holds": {str(report.holds).lower()},\n    '
             f'"sc_total": {report.small_circuit_total},\n    "per_order": [',
             ",".join(f'\n      {{\n        "r": {r},\n        "sc_r": {sc_r},\n        '
                      f'"cap": {cap}\n      }}' for r, sc_r, cap in report.per_order_counts),
             "\n    ]\n  }\n}\n"])
-        return [head, *circuits, tail]
 
     def text(self, order: SymbolOrder) -> str:
         """The plain-text report printed by `sqcirc check`: the join of

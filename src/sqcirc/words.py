@@ -7,13 +7,12 @@ rotation at position i is w_i..w_t w_1..w_{i-1}.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
-from typing import Iterable, Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class SymbolOrder:
+class SymbolOrder(NamedTuple):
     """A total order on symbols.
 
     ``symbols is None`` means the natural codepoint order, which is the
@@ -62,20 +61,19 @@ class SymbolOrder:
 NATURAL = SymbolOrder.natural()
 
 
-@dataclass(frozen=True)
-class RationalExponent:
+class RationalExponent(namedtuple("RationalExponent", "integer_part remainder_len")):
     """An exponent a + i/|u| for powers of a base word u.
 
     integer_part is a >= 0 and remainder_len is i with 0 <= i < |u|, so the
     power u^alpha has the integral length a*|u| + i.
     """
 
-    integer_part: int
-    remainder_len: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.integer_part < 0 or self.remainder_len < 0:
+    def __new__(cls, integer_part: int, remainder_len: int) -> "RationalExponent":
+        if integer_part < 0 or remainder_len < 0:
             raise ValueError("exponent parts must be non-negative")
+        return tuple.__new__(cls, (integer_part, remainder_len))
 
     @classmethod
     def from_length(cls, base_len: int, total_len: int) -> "RationalExponent":

@@ -180,7 +180,7 @@ class TestOncePerWord:
         forbid(monkeypatch, verifier, "class_rows")
         forbid(monkeypatch, verifier, "class_images")
         forbid(monkeypatch, verifier, "audit_injection")
-        forbid(monkeypatch, SmallCircuit, "__post_init__")
+        forbid(monkeypatch, SmallCircuit, "__new__")
         for w in ("aababa", EXAMPLE_22, "abcabcabcabca", "a" * 20):
             assert theorem_check(w).holds
 
@@ -418,7 +418,7 @@ class TestLeanBattery:
         def fail(*args, **kwargs):
             raise AssertionError("_canonical_circuit was called")
         replace_everywhere(monkeypatch, circuits._canonical_circuit, fail)
-        forbid(monkeypatch, SmallCircuit, "__post_init__")
+        forbid(monkeypatch, SmallCircuit, "__new__")
         forbid(monkeypatch, InjectionReport, "__init__")
         forbid(monkeypatch, TheoremReport, "__init__")
         for n in range(1, 11):

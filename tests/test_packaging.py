@@ -1,7 +1,7 @@
 """The package's boundary: the test oracles stay in tests/, an import loads
-nothing that only a parallel sweep needs, __all__ lists exactly the
-public functions and classes that sqcirc binds, and no module keeps a
-functools cache."""
+nothing that only a parallel sweep needs and no dataclasses, __all__ lists
+exactly the public functions and classes that sqcirc binds, and no module
+keeps a functools cache."""
 import ast
 import inspect
 import os
@@ -29,6 +29,11 @@ def test_import_loads_no_test_oracle():
 
 def test_import_loads_no_multiprocessing():
     assert loaded_by_import("multiprocessing") == "[]\n"
+
+
+def test_import_loads_no_dataclasses():
+    # the records are named tuples: a cold start compiles none of these
+    assert loaded_by_import("dataclasses", "inspect", "ast", "dis", "tokenize") == "[]\n"
 
 
 def test_every_exported_name_resolves_once():
