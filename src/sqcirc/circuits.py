@@ -55,6 +55,8 @@ class SmallCircuit(namedtuple("SmallCircuit", "root order")):
             raise ValueError("a small circuit needs |root| <= order")
         return tuple.__new__(cls, (least_rotation(root), order))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too builds through it
+
     def __str__(self) -> str:
         return f"C({self.root},{self.order})"
 

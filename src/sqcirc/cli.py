@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract reserves 2 for I/O
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(USAGE)
+        self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -105,7 +105,7 @@ def _cmd_squares(args, order) -> int:
 
 
 def _cmd_classes(args, order) -> int:
-    print("\n".join(class_table(WordAnalysis(args.word).rows)))
+    sys.stdout.write("".join(class_table(WordAnalysis(args.word).rows, "")))
     return OK
 
 

@@ -5,7 +5,7 @@ primitive root of the half u. One pass, class_rows, gives each class its
 index, its root v and every member's coordinates (i, j), from which
 rebuild_from_coordinates rebuilds the member; square_classes is the
 SquareClass view of those rows. For the sweep, suffix_squares lists the
-squares that one more letter adds, and extend_rows adds them to the rows.
+squares that one more letter adds, and class_rows folds them into the rows.
 """
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ class Square(namedtuple("Square", "half word")):
         if not half or word != half * 2:
             raise ValueError("a square is half + half with a nonempty half")
         return tuple.__new__(cls, (half, word))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too builds through it
 
 
 class SquareClass(NamedTuple):
@@ -159,21 +161,24 @@ def square_classes(w: str) -> list[SquareClass]:
             for v, index, _, members in class_rows(distinct_squares(w))]
 
 
-def class_rows(squares) -> list[tuple[str, int, str, list[tuple[Square, int, int]]]]:
-    """One pass over the distinct squares of a word: a row per square class.
+def class_rows(squares, rows=()) -> list[tuple[str, int, str, list[tuple[Square, int, int]]]]:
+    """The class rows of S | squares, for rows = class_rows(S) (S is empty
+    by default) and squares not in S; rows and their member lists are left
+    as they are.
 
     A row is (root, index, canon, members): the class root v and index (see
     below), canon the root's least rotation (the root of the class's
     circuits), and members the (square, i, j) of every member, sorted by
-    word. Rows are sorted by (root length, root). Each member's primitive
-    root is computed once, and each class's least rotation once.
+    word. Rows are sorted by (root length, root). Each new square's
+    primitive root is computed once, and each class's least rotation once.
 
     The coordinates of a member uu are the (i, j) with
     uu = v_s(i) v^{2j-1} v_p(i), that is uu = rotation(v, i)^{2j}, with
     1 <= i <= |v| and j >= 1; rebuild_from_coordinates is their inverse.
-    They are unique because v is primitive: j is the exponent of u's
-    primitive root, and i - 1 the one offset below |v| at which that root
-    occurs in vv, since a primitive word equals none of its other rotations.
+    They are unique because v is primitive: j = |u| / |v| is the exponent of
+    u's primitive root, and i - 1 the one offset below |v| at which that
+    root, u[:|v|], occurs in vv, since a primitive word equals none of its
+    other rotations.
 
     Lemma: in one class, word order is Square order. Proof sketch: the
     halves are powers of rotations of one length l; if one half is a prefix
@@ -183,54 +188,36 @@ def class_rows(squares) -> list[tuple[str, int, str, list[tuple[Square, int, int
     The index is the largest n such that u^{2n} is a factor of the word for
     some u conjugate to the root; such a u qualifies, and the stored root is
     the least qualifying rotation. Lemma: the qualifying rotations are the
-    primitive roots of the members of top exponent. Proof sketch: t^(2*index)
-    is a factor iff it is one of the distinct squares, the one with half
-    t^index, whose primitive root is t and whose exponent is index.
+    primitive roots of the members of top exponent, so (-index, v) is the
+    least (-exp, t) over the members, t the primitive root of a member's
+    half and exp its exponent. Proof sketch: t^(2*index) is a factor iff it
+    is one of the distinct squares, the one with half t^index.
+
+    Lemma: a row depends only on its own class's members. Proof sketch: by
+    the rules above. So a class that gains no square keeps its row, and one
+    that gains some takes the least of its old (-index, v) and its new
+    members' (-exp, t), then recomputes every member's (i, j) against v.
     """
-    groups: dict[str, list[tuple[str, Square, str, int]]] = {}
+    folded = {row[2]: row for row in rows}
+    touched: dict[str, list] = {}
     named: dict[str, str] = {}  # each rotation (so conjugate) of a root seen -> class
     for sq in squares:
         root, exp = primitive_root(sq.half)
         if (canon := named.get(root)) is None:
             canon = least_rotation(root)
-            named.update((root[i:] + root[:i], canon) for i in range(len(root)))
-        groups.setdefault(canon, []).append((sq.word, sq, root, exp))
-    rows = []
-    for canon, group in groups.items():
-        neg, v = min((-exp, root) for _, _, root, exp in group)
-        doubled = v + v
-        group.sort()  # by word: distinct squares have distinct words
-        rows.append((v, -neg, canon, [(sq, doubled.find(root) + 1, exp)
-                                      for _, sq, root, exp in group]))
-    rows.sort(key=lambda row: (len(row[0]), row[0]))
-    return rows
-
-
-def extend_rows(rows, new) -> list[tuple[str, int, str, list[tuple[Square, int, int]]]]:
-    """class_rows(S | new), from rows = class_rows(S) and squares new not in
-    S; rows and their member lists are left as they are.
-
-    Each new square, of primitive root t and exponent exp, joins the row of
-    its class or starts one. Lemma: the row's index becomes max(index, exp),
-    and its root v becomes t when (-exp, t) < (-index, v); only then do the
-    members' offsets i change, and j never does. Proof sketch: a row depends
-    only on its own class's members, and these are class_rows' rules: v is
-    the least (-exp, t) over them, i depends on v alone, and j is exp.
-    """
-    rows = list(rows)
-    for sq in new:
-        root, exp = primitive_root(sq.half)
-        canon = least_rotation(root)
-        at = next((k for k, row in enumerate(rows) if row[2] == canon), len(rows))
-        v, index, _, members = rows[at] if at < len(rows) else (root, exp, canon, [])
-        if (-exp, root) < (-index, v):
-            v, index = root, exp
-            members = [(m, (v + v).find(m.half[:len(v)]) + 1, j) for m, _, j in members]
-        members = sorted([*members, (sq, (v + v).find(root) + 1, exp)],
-                         key=lambda member: member[0].word)
-        rows[at:at + 1] = [(v, index, canon, members)]
-    rows.sort(key=lambda row: (len(row[0]), row[0]))
-    return rows
+            for i in range(len(root)):
+                named[root[i:] + root[:i]] = canon
+        if (entry := touched.get(canon)) is None:
+            v, index, _, members = folded.get(canon, (root, exp, canon, ()))
+            entry = touched[canon] = [(-index, v), [m for m, _, _ in members]]
+        entry[0] = min(entry[0], (-exp, root))
+        entry[1].append(sq)
+    for canon, ((neg, v), members) in touched.items():
+        doubled, k = v + v, len(v)
+        members.sort()  # by word, by the lemma above
+        folded[canon] = (v, -neg, canon, [(sq, doubled.find(sq.half[:k]) + 1, len(sq.half) // k)
+                                          for sq in members])
+    return sorted(folded.values(), key=lambda row: (len(row[0]), row[0]))
 
 
 def rebuild_from_coordinates(v: str, i: int, j: int) -> str:

@@ -26,7 +26,6 @@ from .squares import (
     Square,
     class_rows,
     distinct_squares,
-    extend_rows,
     period_runs,
     rebuild_from_coordinates,
     suffix_squares,
@@ -137,8 +136,8 @@ class WordAnalysis:
         and the circuit counts of the ranges alone; so when the child's
         squares (ranges) object is this one's, it reads this one's rows and
         images (counts), if computed. When the letter adds squares, the
-        child's rows are this one's, if computed, extended by
-        squares.extend_rows; its images stay lazy.
+        child's rows are this one's, if computed, with the new squares folded
+        in by squares.class_rows; its images stay lazy.
         """
         w = self.word
         wa, m = w + a, 0
@@ -154,7 +153,7 @@ class WordAnalysis:
         if not new:
             shared += ("rows", "images")
         elif "rows" in mine:
-            fields["rows"] = extend_rows(mine["rows"], new)
+            fields["rows"] = class_rows(new, mine["rows"])
         fields.update((key, mine[key]) for key in shared if key in mine)
         return child
 
@@ -323,14 +322,15 @@ class WordAnalysis:
         return "".join(self.text_parts(order))
 
     def text_parts(self, order: SymbolOrder):
-        """The lines of text, each with its newline, which `sqcirc check`
-        writes in turn, so the report is never held whole."""
+        """The parts of text, which `sqcirc check` writes in turn, so the
+        report is never held whole: a line each, but one part per member in
+        the lists of squares and of each class's members."""
         w, report, injection = self.word, self.report, self.injection
         yield f"word: {w}  (length {len(w)}, alphabet size {report.alphabet_size})\n"
-        yield (f"nonempty squares ({report.nonempty_squares}): "
-               f"{', '.join(s.word for s in sorted(self.squares))}\n")
-        yield "classes:\n"
-        yield from (f"  {row}\n" for row in class_table(self.rows))
+        yield f"nonempty squares ({report.nonempty_squares}): "
+        yield from _listed(s.word for s in sorted(self.squares))
+        yield "\nclasses:\n"
+        yield from class_table(self.rows, "  ")
         yield f"small circuits ({report.small_circuit_total}):\n"
         for r, row in groupby(circuit_blocks(self.ranges, order, lambda _: None),
                               key=lambda c: c[1]):
@@ -349,12 +349,23 @@ class WordAnalysis:
                + ("holds" if report.chain_holds else "VIOLATED") + "\n")
 
 
-def class_table(rows) -> list[str]:
-    """The lines of the square-class table of squares.class_rows' rows,
-    header first."""
-    return ["root | index | size | members"] + [
-        f"{v} | {index} | {len(members)} | " + ", ".join(sq.word for sq, _, _ in members)
-        for v, index, _, members in rows]
+def class_table(rows, indent: str):
+    """The square-class table of squares.class_rows' rows, header first,
+    each line led by indent and ended by a newline, in parts: one per
+    member, so no line is held whole."""
+    yield f"{indent}root | index | size | members\n"
+    for v, index, _, members in rows:
+        yield f"{indent}{v} | {index} | {len(members)} | "
+        yield from _listed(sq.word for sq, _, _ in members)
+        yield "\n"
+
+
+def _listed(words):
+    # the parts of ", ".join(words)
+    sep = ""
+    for word in words:
+        yield sep + word
+        sep = ", "
 
 
 def theorem_check(w: str) -> TheoremReport:

@@ -75,6 +75,8 @@ class RationalExponent(namedtuple("RationalExponent", "integer_part remainder_le
             raise ValueError("exponent parts must be non-negative")
         return tuple.__new__(cls, (integer_part, remainder_len))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too builds through it
+
     @classmethod
     def from_length(cls, base_len: int, total_len: int) -> "RationalExponent":
         """The exponent alpha with alpha * base_len == total_len."""

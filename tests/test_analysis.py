@@ -252,7 +252,7 @@ class TestIncrementalWalk:
         # each range the letter changes is (|q|, m), extending an old one
         # that stopped at m - 1 (the order-m lemma of extend_order_ranges);
         # the rows are read at every step, so each child that adds squares
-        # extends its parent's rows (squares.extend_rows); the oracle
+        # folds them into its parent's rows (squares.class_rows); the oracle
         # maximal-edge pass finds no collision on any prefix
         a = WordAnalysis("")
         assert a.rows == []

@@ -250,6 +250,19 @@ class TestUsage:
         code, _, _ = run(capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv, reason", [
+        (("circuits", "ab", "--n", "x"),
+         "sqcirc circuits: error: argument --n: invalid int value: 'x'"),
+        (("search", "--alphabet", "2"),
+         "sqcirc search: error: the following arguments are required: --max-len"),
+        (("bogus",), "sqcirc: error: argument command: invalid choice: 'bogus'"),
+    ], ids=["bad-value", "missing-flag", "unknown-command"])
+    def test_usage_error_names_its_reason(self, capsys, argv, reason):
+        # the usage line, then argparse's reason, and exit 1 (not argparse's 2)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: sqcirc") and err.splitlines()[-1].startswith(reason)
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

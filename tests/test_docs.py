@@ -1,4 +1,5 @@
 """The documented examples run as tests: README.md and every module docstring."""
+import ast
 import doctest
 import importlib
 import pathlib
@@ -39,3 +40,22 @@ def test_readme_command_lines_use_real_flags(capsys):
         options = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         for flag in re.findall(r"--[\w-]+", rest):
             assert flag in options, f"sqcirc {command} has no {flag}"
+
+
+def test_dotted_names_in_the_docs_exist():
+    # every `module.name` or `sqcirc.module.name` in README.md, and every
+    # module.name in a source docstring, names an attribute that exists
+    dotted = rf"(?:sqcirc\.)?((?:{'|'.join(MODULES)})(?:\.\w+)+)"
+    found = [("README.md", name) for name in re.findall(rf"`{dotted}[`(]", README.read_text())]
+    for path in sorted(pathlib.Path(sqcirc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                found += [(path.name, name) for name in re.findall(rf"(?<![\w./]){dotted}", doc)]
+    assert len({where for where, _ in found}) > 2
+    for where, name in found:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"sqcirc.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"{where} names {name}, which does not exist"
+            obj = getattr(obj, attr)

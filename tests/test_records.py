@@ -104,6 +104,26 @@ def test_validation_errors(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Square("a", "aa")._replace(word="ab"), "a square is half + half with a nonempty half"),
+    (lambda: Square._make(["", ""]), "a square is half + half with a nonempty half"),
+    (lambda: SmallCircuit("ab", 2)._replace(root="abab"), "circuit root must be primitive: 'abab'"),
+    (lambda: SmallCircuit._make(["ba", 1]), "a small circuit needs |root| <= order"),
+    (lambda: RationalExponent._make([-1, -5]), "exponent parts must be non-negative"),
+    (lambda: RationalExponent(2, 1)._replace(remainder_len=-1), "exponent parts must be non-negative"),
+], ids=["square-replace", "square-make", "circuit-replace", "circuit-make", "exponent-make",
+        "exponent-replace"])
+def test_make_and_replace_validate(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_make_and_replace_normalize_the_circuit_root():
+    assert SmallCircuit("ab", 2)._replace(root="ba") == ("ab", 2)
+    assert SmallCircuit._make(["cab", 3]).root == "abc"
+    assert Square._make(["ab", "abab"]) == SQ and type(Square._make(SQ)) is Square
+
+
 def test_small_circuit_normalizes_by_keyword_too():
     assert SmallCircuit(root="ba", order=2) == SmallCircuit("ab", 2)
     assert SmallCircuit("bca", 3).root == "abc"

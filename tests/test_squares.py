@@ -13,6 +13,7 @@ from sqcirc.squares import (
     period_runs,
     rebuild_from_coordinates,
     square_classes,
+    suffix_squares,
     _encode,
 )
 from sqcirc.circuits import circuit_order_ranges
@@ -288,9 +289,26 @@ class TestCoordinates:
                  for n in range(1, top + 1) for w in canonical_words(size, n)]
         words += [random_word(rng, "abcd"[:rng.randint(1, 4)], 1, 30) for _ in range(300)]
         for w in words:
-            for v, _, _, members in class_rows(distinct_squares(w)):
+            rows = class_rows(distinct_squares(w))
+            for v, _, _, members in rows:
                 for sq, i, j in members:
                     assert (i, j) == coordinates_oracle(v, sq.word), w
+            assert self.folded_rows(w) == rows, w
+
+    @staticmethod
+    def folded_rows(w: str):
+        # w's rows built letter by letter: each prefix's new squares
+        # (suffix_squares) folded into the rows of the prefix before it,
+        # which stay as they were
+        rows = []
+        for n in range(1, len(w) + 1):
+            x = w[:n]
+            m = next(m for m in range(n) if x[-m - 1:] not in x[:-1])
+            before = [(v, index, canon, list(members)) for v, index, canon, members in rows]
+            folded = class_rows(suffix_squares(x, m), rows)
+            assert rows == before, x
+            rows = folded
+        return rows
 
     @staticmethod
     def coordinates(w: str, word: str) -> tuple[str, int, int]:
