@@ -28,7 +28,6 @@ from .squares import period_runs
 from .words import (
     NATURAL,
     SymbolOrder,
-    _profile_lrf,
     extremal_rotation,
     is_primitive,
     least_rotation,
@@ -145,7 +144,7 @@ def extend_order_ranges(ranges: dict[str, tuple[int, int]], wa: str,
     Lemma (order m): every circuit C(q, r) of Gamma_r(wa) that Gamma_r(w)
     lacks has r = m and the edge s = wa[-(m+1):]. Proof sketch: Gamma_r(w) is
     a subgraph of Gamma_r(wa), whose one edge not in it is wa[-(r+1):] when
-    r+1 > m (see words.extend_profile), so r >= m. The circuit passes through
+    r+1 > m (see words.cycle_counts), so r >= m. The circuit passes through
     that edge's end wa[-r:] and must leave it by an edge that starts with
     wa[-r:]; for r > m, wa[-r:] is not a factor of w, so it occurs in wa
     only as its suffix and has no such edge. So r = m, and C(q, m) is new
@@ -170,9 +169,9 @@ def extend_order_ranges(ranges: dict[str, tuple[int, int]], wa: str,
     return ranges if grown is None else grown
 
 
-def direct_order_ranges(w: str, profile: tuple[int, ...]) -> dict[str, tuple[int, int]]:
-    """circuit_order_ranges(w) read off factor tests alone; profile is
-    complexity_profile(w).
+def direct_order_ranges(w: str, cycles: dict[int, int]) -> dict[str, tuple[int, int]]:
+    """circuit_order_ranges(w) read off factor tests alone; cycles is
+    words.cycle_counts(w).
 
     Lemma (circuit edges): Gamma_r(w) has the edges L_w(r+1), so C(q, r) exists
     iff r >= |q| and the |q| windows of length r+1 of q^oo occur in w. At
@@ -181,7 +180,9 @@ def direct_order_ranges(w: str, profile: tuple[int, ...]) -> dict[str, tuple[int
     ends = {w[t:t+p] : w[t] == w[t+p]} and closes after exactly p steps (fewer:
     u is a power). p ends need p starts t < n - p. Lemma (complexity): the p
     rotations of a primitive q are distinct factors of length p, so no root of
-    length p exists when C_w(p) < p, and p is skipped. Lemma (roots <= LRF):
+    length p exists when C_w(p) < p, and p is skipped; C_w(p) is summed from
+    C_w(0) = 1 by C_w(k+1) = C_w(k) + cycles[k] - 1, and LRF(w) is the largest
+    key of cycles (see words.cycle_counts). Lemma (roots <= LRF):
     every small circuit has |q| <= r <= LRF(w) (see circuit_order_ranges).
     Lemma (min extension, so monotonicity): let x = q^oo and e_i the length
     of the longest prefix of x[i:] that occurs in w; the orders of [q] form
@@ -193,9 +194,10 @@ def direct_order_ranges(w: str, profile: tuple[int, ...]) -> dict[str, tuple[int
     costs at most one test that passes, plus one per unit m drops, and m
     never drops below p+1, as the closed orbit's edges occur.
     """
-    n, lrf, ranges = len(w), _profile_lrf(profile), {}
+    n, lrf, ranges, c = len(w), max(cycles, default=0), {}, 1
     for p in range(1, min(lrf, n // 2) + 1):
-        if profile[p] < p:
+        c += cycles.get(p - 1, 0) - 1  # C_w(p)
+        if c < p:
             continue
         ends = {w[t:t + p] for t in compress(range(n - p), map(str.__eq__, w, w[p:]))}
         while len(ends) >= p:  # fewer cannot close an orbit of p

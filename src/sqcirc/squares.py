@@ -122,7 +122,7 @@ def suffix_squares(wa: str, m: int) -> list[Square]:
 
     Lemma (new squares): they are the square suffixes of wa longer than m,
     and each has a half h with m < 2h and h <= m. Proof sketch: a new square
-    is a new factor, so a suffix longer than m (see words.extend_profile);
+    is a new factor, so a suffix longer than m (see words.cycle_counts);
     and the second half of a square suffix uu is a suffix of wa that also
     ends at |wa| - h <= |w|, so it occurs in w. At most two squares are new
     (the mirror of Fraenkel & Simpson's rightmost-occurrence lemma, JCTA

@@ -33,9 +33,7 @@ from .squares import (
 from .words import (
     NATURAL,
     SymbolOrder,
-    _profile_lrf,
-    complexity_profile,
-    extend_profile,
+    cycle_counts,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -125,12 +123,12 @@ class WordAnalysis:
         return f"WordAnalysis(word={self.word!r})"
 
     def extend(self, a: str) -> WordAnalysis:
-        """The analysis of word + a, its profile, squares and ranges extended
-        from this analysis's by the lemmas of words.extend_profile,
+        """The analysis of word + a, its cycle counts, squares and ranges
+        extended from this analysis's by the lemmas of words.cycle_counts,
         squares.suffix_squares and circuits.extend_order_ranges, for m the
-        length of the longest suffix of wa that occurs in w: the new factors
-        and squares are suffixes longer than m, and every new circuit has
-        order m and the edge wa[-(m+1):].
+        length of the longest suffix of wa that occurs in w: the letter adds
+        one cycle at order m, the new squares are suffixes longer than m, and
+        every new circuit has order m and the edge wa[-(m+1):].
 
         The class rows and their images are functions of the squares alone,
         and the circuit counts of the ranges alone; so when the child's
@@ -145,7 +143,8 @@ class WordAnalysis:
             m += 1
         child = WordAnalysis(wa)
         fields, mine = vars(child), vars(self)
-        fields["profile"] = extend_profile(self.profile, m)
+        cycles = fields["cycles"] = dict(self.cycles)
+        cycles[m] = cycles.get(m, 0) + 1
         new = suffix_squares(wa, m)
         fields["squares"] = self.squares.union(new) if new else self.squares
         ranges = fields["ranges"] = extend_order_ranges(self.ranges, wa, m)
@@ -158,14 +157,14 @@ class WordAnalysis:
         return child
 
     @_lazy
-    def profile(self) -> tuple[int, ...]:
-        return complexity_profile(self.word)
+    def cycles(self) -> dict[int, int]:
+        return cycle_counts(self.word)
 
     def _runs_for(self, other: str) -> list[list[tuple[int, int]]]:
         # period_runs(w) for squares or ranges, held until other has read it too
         stored = self.__dict__
         if "_runs" not in stored:
-            stored["_runs"] = period_runs(self.word, _profile_lrf(self.profile))
+            stored["_runs"] = period_runs(self.word, max(self.cycles, default=0))
         return stored.pop("_runs") if other in stored else stored["_runs"]
 
     @_lazy
@@ -198,39 +197,34 @@ class WordAnalysis:
     def report(self) -> TheoremReport:
         if not self.word:
             raise ValueError("the bound is about nonempty words")
-        w, counts, prof = self.word, self.counts, self.profile
+        w, counts, cycles = self.word, self.counts, self.cycles
         nonempty, alph = len(self.squares), len(set(w))
         bound = len(w) - alph + 1
         return TheoremReport(
             word=w, square_count_with_empty=nonempty + 1, nonempty_squares=nonempty,
             alphabet_size=alph, bound=bound, holds=nonempty + 1 <= bound,
             small_circuit_total=sum(counts.values()),
-            per_order_counts=tuple((r, counts.get(r, 0), prof[r + 1] - prof[r] + 1)
+            per_order_counts=tuple((r, counts.get(r, 0), cycles.get(r, 0))
                                    for r in range(1, len(w) + 1)))
 
     @_lazy
     def violations(self) -> tuple[str, ...]:
         """The messages of every invariant that fails; see verify_word.
 
-        Reads the class rows, their images, the circuit counts and the
-        profile directly, and looks each image up in the ranges: no
+        Reads the class rows, their images, the circuit counts and the cycle
+        counts directly, and looks each image up in the ranges: no
         SmallCircuit, InjectionReport or TheoremReport is built unless an
         image is missing, and then only to name it.
         """
-        w, counts, prof = self.word, self.counts, self.profile
+        w, counts, cycles = self.word, self.counts, self.cycles
         bad: list[str] = []
         nonempty, sc_total = len(self.squares), sum(counts.values())
         if nonempty > sc_total:
             bad.append(f"{w}: {nonempty} squares but only {sc_total} circuits")
         if sc_total > len(w) - len(set(w)):
             bad.append(f"{w}: circuit total {sc_total} above |w|-|Alph(w)|")
-        # Lemma (caps): every cap C_w(r+1) - C_w(r) + 1 is at least 0, so an
-        # order with no circuit cannot break its cap. Proof sketch: each
-        # factor of length r, except possibly the suffix of w of that length,
-        # extends to the right to a factor of length r+1, which starts with
-        # it; so C_w(r+1) >= C_w(r) - 1.
         for r, sc_r in sorted(counts.items()):
-            if sc_r > (cap := prof[r + 1] - prof[r] + 1):
+            if sc_r > (cap := cycles.get(r, 0)):
                 bad.append(f"{w}: order {r} has {sc_r} circuits, cap {cap}")
         if missing := missing_images(self.images, self.ranges):  # only then name them
             bad.extend(f"{w}: image {circ} of {sq.word} does not exist"
@@ -243,7 +237,7 @@ class WordAnalysis:
         pairs = [(root, r) for _, root, r in self.images]
         if len(set(pairs)) != len(pairs):
             bad.append(f"{w}: injection images collide")
-        direct = direct_order_ranges(w, prof)
+        direct = direct_order_ranges(w, cycles)
         if direct != self.ranges:  # equal ranges name equal circuits at every order
             found = order_counts(direct)
             bad.extend(f"{w}: order {r} enumerators disagree ({found.get(r, 0)} direct "

@@ -6,9 +6,7 @@ rotation at position i is w_i..w_t w_1..w_{i-1}.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 
@@ -269,41 +267,50 @@ def longest_repeated_factor(w: str) -> int:
     """LRF(w): the length of the longest factor that occurs at least twice.
 
     The two occurrences may overlap. LRF("") = 0, and LRF(w) = 0 means no
-    letter of w repeats. Read off the complexity profile by _profile_lrf.
+    letter of w repeats. It is the largest m_j of cycle_counts, as a factor
+    whose second occurrence ends at j is a suffix of w[:j+1] that occurs in
+    w[:j].
 
     >>> longest_repeated_factor("aababa")
     3
     """
-    return _profile_lrf(complexity_profile(w))
+    return max(cycle_counts(w), default=0)
 
 
-def _profile_lrf(profile: tuple[int, ...]) -> int:
-    # LRF(w) is the largest k with C_w(k) < |w|-k+1: fewer distinct length-k
-    # windows than windows means one of them repeats. Bisected, as once the
-    # windows of length k are distinct, so are the longer ones they start
-    n = len(profile) - 2
-    return bisect_left(range(1, n), True, key=lambda k: profile[k] == n - k + 1)
+def cycle_counts(w: str) -> dict[int, int]:
+    """cycles[r] = #{j : m_j = r}, for m_j the length of the longest suffix
+    of w[:j+1] that occurs in w[:j]; orders no m_j reaches are absent.
 
+    Lemma (new factors): the factors of wa that are not factors of w are
+    exactly the suffixes of wa longer than m, for m the length of the longest
+    suffix of wa that occurs in w. Proof sketch: a factor that avoids the
+    last letter is a factor of w, and a suffix of one that occurs in w
+    occurs there too, so the suffixes that occur are those of length at
+    most m.
 
-def complexity_profile(w: str) -> tuple[int, ...]:
-    """C_w(n) for n = 0..|w|+1 in one pass (last entry is always 0).
-
-    Lemma (m-sequence): let m_j be the length of the longest suffix of
-    w[:j+1] that occurs in w[:j]. Then C_w(k) = #{j : m_j < k <= j+1} for
-    k >= 1. Proof sketch: every factor of w has a first occurrence, ending
-    at some j. By the lemma of extend_profile, the factors whose first
-    occurrence ends at j are the suffixes of w[:j+1] longer than m_j, one
-    of each length k in (m_j, j+1]. One difference array sums them.
+    Lemma (cycles): cycles[0] = |Alph(w)|, and for 1 <= r <= |w|, cycles[r]
+    is the cyclomatic number C_w(r+1) - C_w(r) + 1 of the connected graph
+    Gamma_r(w). Proof sketch: by the new-factors lemma, letter j's new edges
+    are the suffixes of w[:j+1] longer than m_j, and its new vertices the
+    suffixes of length r > m_j. So it adds one edge and no vertex to
+    Gamma_{m_j}, one vertex and no edge to Gamma_{j+1} (its first window),
+    and as many of each to every other Gamma_r; summed over j, the connected
+    Gamma_r has cycles[r] - 1 more edges than vertices. m_j = 0 exactly when
+    w[j] is a new letter, so the cycles at r >= 1 sum to |w| - |Alph(w)|.
+    The keys are 0..LRF(w), as m_{j+1} <= m_j + 1: a suffix of w[:j+2] that
+    occurs in w[:j+1], less its last letter, is one of w[:j+1] in w[:j].
 
     The m_j come from the suffix automaton of w, built online in O(|w|)
     steps (Blumer et al., "The smallest automaton recognizing the subwords
     of a text", TCS 1985). The suffix link of the state of w[:j+1] leads to
     the state of its longest suffix that also occurs in w[:j], so m_j is
     the length of that state.
+
+    >>> cycle_counts("aababa")
+    {0: 2, 1: 2, 2: 1, 3: 1}
     """
-    n = len(w)
     nxt, link, length = [{}], [-1], [0]
-    diff = [0] * (n + 2)
+    cycles: dict[int, int] = {}
     last = 0
     for j, c in enumerate(w):
         cur = len(length)
@@ -328,29 +335,21 @@ def complexity_profile(w: str) -> tuple[int, ...]:
                     p = link[p]
                 link[q] = link[cur] = clone
         last = cur
-        diff[length[link[cur]] + 1] += 1
-        diff[j + 2] -= 1
-    return (1, *accumulate(diff[1:n + 1]), 0)
+        m = length[link[cur]]
+        cycles[m] = cycles.get(m, 0) + 1
+    return cycles
 
 
-def extend_profile(profile: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """complexity_profile(wa) from profile = complexity_profile(w), for a
-    letter a and m the length of the longest suffix of wa that occurs in w.
-
-    Lemma (new factors): the factors of wa that are not factors of w are
-    exactly the suffixes of wa longer than m. Proof sketch: a factor that
-    avoids the last letter is a factor of w, and a suffix of one that
-    occurs in w occurs there too, so the suffixes that occur are those of
-    length at most m. Hence C_wa(k) = C_w(k) + [k > m] for k <= |w|, then
-    1 and 0; and LRF(wa) = max(LRF(w), m), as a factor repeated in wa but
-    not in w is a suffix of wa that also occurs in w. complexity_profile
-    is the batch form, summing this lemma over every prefix of a word.
-
-    >>> extend_profile(complexity_profile("aabab"), 3) == complexity_profile("aababa")
-    True
+def complexity_profile(w: str) -> tuple[int, ...]:
+    """C_w(n) for n = 0..|w|+1 (last entry is always 0), the prefix sums of
+    cycle_counts: C_w(0) = 1 and C_w(k+1) = C_w(k) + cycles[k] - 1, by its
+    cycles lemma (cycles[0] = |Alph(w)| = C_w(1), and cycles[|w|] = 0).
     """
-    n = len(profile) - 2
-    return profile[:m + 1] + tuple(c + 1 for c in profile[m + 1:n + 1]) + (1, 0)
+    cycles, c, profile = cycle_counts(w), 1, [1]
+    for k in range(len(w) + 1):
+        c += cycles.get(k, 0) - 1
+        profile.append(c)
+    return tuple(profile)
 
 
 def common_root(x: str, y: str) -> Optional[str]:

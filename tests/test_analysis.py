@@ -33,7 +33,7 @@ from sqcirc.verifier import (
     verify_word,
 )
 from sqcirc.words import (
-    complexity_profile,
+    cycle_counts,
     is_primitive,
     least_rotation,
     longest_repeated_factor,
@@ -68,9 +68,9 @@ def count_calls(monkeypatch, *functions) -> Counter:
 def calls(monkeypatch):
     """Count calls to the engines that WordAnalysis's fields are read off:
     the period runs, the squares and circuit ranges read off them, and the
-    complexity profile, which LRF is read off."""
+    cycle counts, which LRF is read off."""
     return count_calls(monkeypatch, period_runs, distinct_squares,
-                       circuit_order_ranges, complexity_profile)
+                       circuit_order_ranges, cycle_counts)
 
 
 def forbid(monkeypatch, target, name):
@@ -86,7 +86,7 @@ class TestOncePerWord:
         assert main(["check", w, *flags]) == 0
         capsys.readouterr()
         assert calls == {"period_runs": 1, "distinct_squares": 1,
-                         "circuit_order_ranges": 1, "complexity_profile": 1}
+                         "circuit_order_ranges": 1, "cycle_counts": 1}
 
     @pytest.mark.parametrize("command", ["inject", "classes", "squares", "circuits"])
     def test_word_commands_scan_once(self, calls, capsys, command):
@@ -97,7 +97,7 @@ class TestOncePerWord:
         assert main([command, EXAMPLE_22 * 3]) == 0
         capsys.readouterr()
         assert calls == dict.fromkeys(
-            ["period_runs", "complexity_profile", *read], 1)
+            ["period_runs", "cycle_counts", *read], 1)
 
     @pytest.mark.parametrize("command,w", [("check", fibonacci(300)),
                                            ("circuits", EXAMPLE_22 * 3)],
@@ -153,7 +153,7 @@ class TestOncePerWord:
         words = sum(canonical_count(2, n) for n in range(1, 9))
         assert summary.words_checked == words == new["suffix_squares"]
         assert calls == dict.fromkeys(["period_runs", "distinct_squares",
-                                       "circuit_order_ranges", "complexity_profile"], 1)
+                                       "circuit_order_ranges", "cycle_counts"], 1)
         calls.clear()
         new.clear()
         roots = list(canonical_words(2, 6))
@@ -162,15 +162,15 @@ class TestOncePerWord:
         assert sum(unit[0] for unit in units) == words == new["suffix_squares"] + len(roots)
         assert calls == dict.fromkeys(
             ["period_runs", "distinct_squares", "circuit_order_ranges",
-             "complexity_profile"], len(roots))
+             "cycle_counts"], len(roots))
 
     def test_sweep_runs_the_battery_once_per_word(self, monkeypatch):
         # the battery's direct engine runs once per word, on every word
         checked = Counter()
 
-        def counted(w, profile, _original=verifier.direct_order_ranges):
+        def counted(w, cycles, _original=verifier.direct_order_ranges):
             checked[w] += 1
-            return _original(w, profile)
+            return _original(w, cycles)
         monkeypatch.setattr(verifier, "direct_order_ranges", counted)
         summary = exhaustive_search(2, 8)
         assert len(checked) == summary.words_checked == sum(checked.values())
@@ -201,11 +201,24 @@ class TestOncePerWord:
         assert analysis.injection is first
         assert analysis.violations == ()
 
+    def test_no_production_path_builds_a_profile(self, monkeypatch, capsys, tmp_path):
+        # the caps, LRF and C_w(p) are all read off the cycle counts
+        def fail(*args, **kwargs):
+            raise AssertionError("complexity_profile was called")
+        replace_everywhere(monkeypatch, words.complexity_profile, fail)
+        path = tmp_path / "corpus.txt"
+        path.write_text("aababa\nabcabcab\n" + EXAMPLE_22 + "\n")
+        for argv in (["check", EXAMPLE_22], ["check", EXAMPLE_22, "--json"],
+                     ["corpus", str(path), "--per-line"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert exhaustive_search(2, 8).violations == ()
+
     def test_period_runs_kept_until_squares_and_ranges_read_them(self, calls):
         analysis = WordAnalysis(EXAMPLE_22)
         assert analysis.squares and "_runs" in vars(analysis)
         assert analysis.ranges
-        assert set(vars(analysis)) == {"word", "profile", "squares", "ranges"}
+        assert set(vars(analysis)) == {"word", "cycles", "squares", "ranges"}
         assert calls["period_runs"] == 1
 
 
@@ -226,7 +239,7 @@ class TestIncrementalWalk:
                 if a.word == root:
                     continue
                 w, walked = a.word, walked + 1
-                assert a.profile == complexity_profile(w), w
+                assert a.cycles == cycle_counts(w), w
                 assert a.squares == distinct_squares(w), w
                 assert {sq.word for sq in a.squares} == squares_scan(w), w
                 assert a.ranges == circuit_order_ranges(w), w
@@ -260,7 +273,7 @@ class TestIncrementalWalk:
             parent, a = a, a.extend(c)
             x = a.word
             m = next(m for m in range(len(x)) if x[-m - 1:] not in parent.word)
-            assert a.profile == complexity_profile(x), x
+            assert a.cycles == cycle_counts(x), x
             assert a.squares == distinct_squares(x), x
             assert a.ranges == circuit_order_ranges(x), x
             assert a.rows == class_rows(a.squares), x
@@ -315,8 +328,8 @@ class TestBattery:
         # the battery's direct engine reports the ranges edit makes of its own
         original = verifier.direct_order_ranges
         monkeypatch.setattr(verifier, "direct_order_ranges",
-                            lambda w, profile: edit(original(w, profile)))
-        assert original("aababa", complexity_profile("aababa")) == {"a": (1, 1), "ab": (2, 3)}
+                            lambda w, cycles: edit(original(w, cycles)))
+        assert original("aababa", cycle_counts("aababa")) == {"a": (1, 1), "ab": (2, 3)}
 
     # the direct engine finds C(b,1) in place of C(a,1), keeping the count,
     # or finds nothing at order 1

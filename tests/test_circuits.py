@@ -26,8 +26,10 @@ from sqcirc.verifier import canonical_words
 from sqcirc.words import (
     NATURAL,
     SymbolOrder,
+    complexity,
     complexity_profile,
     conjugacy_class,
+    cycle_counts,
     extremal_rotation,
     factors,
     has_period,
@@ -254,12 +256,13 @@ def factor_test_words():
 class TestFactorTestEngine:
     def test_equals_batched_engine(self):
         for w in factor_test_words():
-            assert direct_order_ranges(w, complexity_profile(w)) == \
+            assert direct_order_ranges(w, cycle_counts(w)) == \
                 circuit_order_ranges(w), w
 
     def test_roots_longer_than_the_complexity_are_skipped(self, monkeypatch):
         # C_w(p) < p leaves no room for p distinct rotations, so on a unary
-        # word only p = 1 reads its ends off the word
+        # word only p = 1 reads its ends off the word; on every word, exactly
+        # the root lengths p <= min(LRF, |w|/2) with C_w(p) >= p do
         calls = []
 
         def counted(*args, _original=circuits_module.compress):
@@ -267,8 +270,14 @@ class TestFactorTestEngine:
             return _original(*args)
         monkeypatch.setattr(circuits_module, "compress", counted)
         w = "a" * 512
-        assert direct_order_ranges(w, complexity_profile(w)) == {"a": (1, 511)}
+        assert direct_order_ranges(w, cycle_counts(w)) == {"a": (1, 511)}
         assert len(calls) == 1
+        for w in ("ababc", "aababa", "abcabcabc", fibonacci(200), thue_morse(128),
+                  *(random_word(random.Random(seed), "abcd", 20, 40) for seed in range(20))):
+            calls.clear()
+            top = min(longest_repeated_factor(w), len(w) // 2)
+            assert direct_order_ranges(w, cycle_counts(w)) == circuit_order_ranges(w), w
+            assert len(calls) == sum(complexity(w, p) >= p for p in range(1, top + 1)), w
 
     @pytest.mark.parametrize("w,most", [(fibonacci(2048), 4000), ("a" * 65536, 64)],
                              ids=["fib2048", "unary65536"])
@@ -284,7 +293,7 @@ class TestFactorTestEngine:
             def __contains__(self, x):
                 Counted.tests += 1
                 return super().__contains__(x)
-        ranges = direct_order_ranges(Counted(w), complexity_profile(w))
+        ranges = direct_order_ranges(Counted(w), cycle_counts(w))
         assert Counted.tests <= most
         assert ranges == ({"a": (1, 65535)} if len(set(w)) == 1 else circuit_order_ranges(w))
 

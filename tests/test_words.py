@@ -7,22 +7,24 @@ import tracemalloc
 import pytest
 
 from sqcirc import canonical_words
+from sqcirc.rauzy import build_rauzy, cyclomatic_number
 from sqcirc.words import (
     NATURAL,
     RationalExponent,
     SymbolOrder,
-    _profile_lrf,
     alphabet,
     common_root,
     complexity,
     complexity_profile,
     conjugacy_class,
+    cycle_counts,
     extremal_rotation,
     factors,
     fractional_power,
     has_period,
     is_primitive,
     least_rotation,
+    longest_repeated_factor,
     power_to_length,
     primitive_root,
     rotation,
@@ -289,19 +291,25 @@ class TestComplexity:
             assert len(prof) == len(w) + 2
             assert prof == tuple(complexity(w, n) for n in range(len(w) + 2)), w
 
-    def test_profile_lrf_bisects_to_the_brute_scan(self):
-        # LRF is the largest k with C_w(k) < |w|-k+1 (0 when there is none):
-        # _profile_lrf bisects for it, the brute scan tries every k
-        rng = random.Random(18)
-        words = [w for k, top in ((2, 12), (3, 8)) for n in range(1, top + 1)
+    def test_cycle_counts_are_the_cyclomatic_numbers(self):
+        # the cycles lemma of cycle_counts, against the Rauzy graphs
+        # themselves; the keys run from 0 to LRF, the largest k with
+        # C_w(k) < |w|-k+1 (fewer distinct length-k windows than windows),
+        # tried for every k
+        rng = random.Random(25)
+        words = [w for k, top in ((2, 10), (3, 7)) for n in range(1, top + 1)
                  for w in canonical_words(k, n)]
-        words += [random_word(rng, "abcd"[:rng.randint(1, 4)], 1, 80) for _ in range(200)]
-        words += ["", "a", "a" * 300, fibonacci(384)]
+        words += [random_word(rng, "abcd"[:rng.randint(1, 4)], 1, 40) for _ in range(200)]
+        assert cycle_counts("") == {}
         for w in words:
-            n = len(w)
+            n, cycles = len(w), cycle_counts(w)
+            for r in range(1, n + 1):
+                assert cycles.get(r, 0) == cyclomatic_number(build_rauzy(w, r)), (w, r)
+            assert cycles[0] == len(set(w)), w
+            assert sum(cycles.values()) - cycles[0] == n - len(set(w)), w
             brute = max((k for k in range(1, n + 1) if complexity(w, k) < n - k + 1),
                         default=0)
-            assert _profile_lrf(complexity_profile(w)) == brute, w
+            assert sorted(cycles) == list(range(brute + 1)), w
 
     def test_profile_of_empty_word(self):
         assert complexity_profile("") == (1, 0)
@@ -341,6 +349,23 @@ class TestComplexity:
             return 3 * 2 ** k + 4 * p if 2 * p <= 2 ** k else 4 * 2 ** k + 2 * p
         prof = complexity_profile(thue_morse(2 ** 17))
         assert all(prof[r] == closed(r) for r in range(32770))
+
+    def test_fibonacci_cycles(self):
+        # Rauzy (1982): C(r) = r + 1 on a Sturmian word, so its Rauzy graphs
+        # have cyclomatic number 2; the prefix's graphs near LRF have 1 or 2
+        w = fibonacci(121393)
+        cycles = cycle_counts(w)
+        assert sorted(cycles) == list(range(longest_repeated_factor(w) + 1))
+        assert cycles[0] == 2
+        assert set(cycles.values()) <= {1, 2}
+
+    def test_thue_morse_cycles(self):
+        # Brlek (1989): C(r+1) - C(r) is 2 or 4 for r >= 1, so every Rauzy
+        # graph of Thue-Morse has cyclomatic number 3 or 5
+        w = thue_morse(2 ** 17)
+        cycles = cycle_counts(w)
+        assert sorted(cycles) == list(range(longest_repeated_factor(w) + 1))
+        assert {cycles[r] for r in cycles if r} <= {3, 5}
 
     def test_profile_memory(self):
         # the automaton's O(|w|) states take about 9 MiB here; an engine
