@@ -20,7 +20,6 @@ in w, and the edge wa[-(m+1):].
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress
 from typing import NamedTuple
 
 from .rauzy import RauzyGraph, VectorCycle
@@ -104,12 +103,13 @@ def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
     there, and no primitivity test is needed: a power's orbit closes in
     fewer than h steps.
 
-    Lags stop at LRF(w), the length of the longest repeated factor, because
-    every small circuit C(q, r) has |q| <= r <= LRF(w). Proof sketch: if
-    every vertex of a p-cycle in Gamma_r occurred once in w, each edge u -> v
-    would force pos(v) = pos(u) + 1, so going round the cycle would advance
-    the position by p and return to the start, which is impossible. Hence
-    some length-r factor repeats.
+    Lags stop at min(LRF(w), |w|/2) (see squares.period_runs). LRF(w) is
+    the length of the longest repeated factor, and every small circuit
+    C(q, r) has |q| <= r <= LRF(w). Proof sketch: if every vertex of a
+    p-cycle in Gamma_r occurred once in w, each edge u -> v would force
+    pos(v) = pos(u) + 1, so going round the cycle would advance the position
+    by p and return to the start, which is impossible. Hence some length-r
+    factor repeats.
     """
     if runs is None:
         runs = period_runs(w)
@@ -199,7 +199,7 @@ def direct_order_ranges(w: str, cycles: dict[int, int]) -> dict[str, tuple[int, 
         c += cycles.get(p - 1, 0) - 1  # C_w(p)
         if c < p:
             continue
-        ends = {w[t:t + p] for t in compress(range(n - p), map(str.__eq__, w, w[p:]))}
+        ends = {w[t:t + p] for t in range(n - p) if w[t] == w[t + p]}
         while len(ends) >= p:  # fewer cannot close an orbit of p
             u = ends.pop()
             root, v, steps = u, u[1:] + u[0], 1
@@ -209,7 +209,9 @@ def direct_order_ranges(w: str, cycles: dict[int, int]) -> dict[str, tuple[int, 
             if v == u and steps == p:
                 x, m, bad, step = root * (lrf // p + 2), p + 1, lrf + 2, 1
                 while bad - m > 1:  # e_0 in [m, bad): gallop until a test fails, then bisect
-                    probe = min(m + step, bad - 1) if step else (m + bad) // 2
+                    probe = m + step if step else (m + bad) // 2
+                    if probe >= bad:
+                        probe = bad - 1
                     if x[:probe] in w:
                         m, step = probe, 2 * step
                     else:

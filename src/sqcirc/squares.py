@@ -72,16 +72,21 @@ def match_runs(w: str, lag: int, _wb: bytes | None = None) -> list[tuple[int, in
 
 
 def period_runs(w: str, lrf: int | None = None) -> list[list[tuple[int, int]]]:
-    """[match_runs(w, lag) for lag in 1..LRF(w)], from one encoding of w.
+    """[match_runs(w, lag) for lag in 1..min(LRF(w), |w|/2)], from one
+    encoding of w.
 
-    Squares and small circuits are both read off these runs; neither needs a
-    lag above LRF(w) (see distinct_squares and circuit_order_ranges). lrf is
-    LRF(w) if the caller has it; the result is the same either way.
+    Squares and small circuits are both read off these runs, and neither
+    needs a lag h above LRF(w) or |w|/2. Proof sketch: a square uu with
+    |u| = h needs 2h <= |w|, and u occurs at two positions, so h <= LRF(w);
+    a circuit root of length h has h distinct rotations, windows w[t:t+h]
+    with w[t] == w[t+h], so starts t <= |w| - h - 1, and h <= |w| - h; and
+    h <= LRF(w) by the lemma in circuits.circuit_order_ranges. lrf is LRF(w)
+    if the caller has it; the result is the same either way.
     """
     if lrf is None:
         lrf = longest_repeated_factor(w)
     wb = _encode(w)
-    return [match_runs(w, lag, wb) for lag in range(1, lrf + 1)]
+    return [match_runs(w, lag, wb) for lag in range(1, min(lrf, len(w) // 2) + 1)]
 
 
 def distinct_squares(w: str, runs=None) -> frozenset[Square]:
@@ -96,8 +101,7 @@ def distinct_squares(w: str, runs=None) -> frozenset[Square]:
     w[s:s+L+h] has period h and starts with x^(h/rho), so it is a factor of
     x^infinity and has period rho; the squares at p and p+rho are equal.
 
-    Lemma: only lags h <= min(|w|/2, LRF(w)) give squares. Proof sketch: uu
-    needs 2|u| <= |w|, and u occurs at two positions, so |u| <= LRF(w).
+    Only lags h <= min(|w|/2, LRF(w)) give squares (see period_runs).
 
     >>> sorted(sq.word for sq in distinct_squares("aababa"))
     ['aa', 'abab', 'baba']
@@ -105,7 +109,7 @@ def distinct_squares(w: str, runs=None) -> frozenset[Square]:
     if runs is None:
         runs = period_runs(w)
     found: set[str] = set()
-    for half, lag_runs in enumerate(runs[:len(w) // 2], 1):
+    for half, lag_runs in enumerate(runs, 1):
         for s, run_len in lag_runs:
             starts = run_len - half + 1
             if starts <= 0:

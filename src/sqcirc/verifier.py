@@ -133,9 +133,13 @@ class WordAnalysis:
         The class rows and their images are functions of the squares alone,
         and the circuit counts of the ranges alone; so when the child's
         squares (ranges) object is this one's, it reads this one's rows and
-        images (counts), if computed. When the letter adds squares, the
-        child's rows are this one's, if computed, with the new squares folded
-        in by squares.class_rows; its images stay lazy.
+        images (counts), if computed. The battery's fault fields follow their
+        sources: bad_coordinates is read off the rows, images_collide off the
+        images, and missing off the images and the ranges, so the child reads
+        this one's, if computed, exactly when it shares those sources. When
+        the letter adds squares, the child's rows are this one's, if
+        computed, with the new squares folded in by squares.class_rows; its
+        images and their faults stay lazy.
         """
         w = self.word
         wa, m = w + a, 0
@@ -148,9 +152,12 @@ class WordAnalysis:
         new = suffix_squares(wa, m)
         fields["squares"] = self.squares.union(new) if new else self.squares
         ranges = fields["ranges"] = extend_order_ranges(self.ranges, wa, m)
-        shared = ("counts",) if ranges is self.ranges else ()
+        same = ranges is self.ranges
+        shared = ["counts"] if same else []
         if not new:
-            shared += ("rows", "images")
+            shared += ["rows", "images", "bad_coordinates", "images_collide"]
+            if same:
+                shared.append("missing")
         elif "rows" in mine:
             fields["rows"] = class_rows(new, mine["rows"])
         fields.update((key, mine[key]) for key in shared if key in mine)
@@ -190,6 +197,25 @@ class WordAnalysis:
         return class_images(self.rows)
 
     @_lazy
+    def bad_coordinates(self) -> tuple[tuple[Square, int, int], ...]:
+        """The (square, i, j) members of the rows whose coordinates do not
+        rebuild the square (squares.rebuild_from_coordinates)."""
+        return tuple((sq, i, j) for v, _, _, members in self.rows for sq, i, j in members
+                     if rebuild_from_coordinates(v, i, j) != sq.word)
+
+    @_lazy
+    def images_collide(self) -> bool:
+        """Whether two images name one circuit."""
+        pairs = [(root, r) for _, root, r in self.images]
+        return len(set(pairs)) != len(pairs)
+
+    @_lazy
+    def missing(self) -> set[tuple[str, int]]:
+        """The images that name no circuit of the ranges
+        (injection.missing_images)."""
+        return missing_images(self.images, self.ranges)
+
+    @_lazy
     def injection(self) -> InjectionReport:
         return audit_injection(self.images, self.ranges)
 
@@ -211,10 +237,12 @@ class WordAnalysis:
     def violations(self) -> tuple[str, ...]:
         """The messages of every invariant that fails; see verify_word.
 
-        Reads the class rows, their images, the circuit counts and the cycle
-        counts directly, and looks each image up in the ranges: no
-        SmallCircuit, InjectionReport or TheoremReport is built unless an
-        image is missing, and then only to name it.
+        Reads the circuit counts, the cycle counts and the fault fields
+        missing, bad_coordinates and images_collide, which a child of extend
+        shares with its parent when it shares their sources; each message
+        names this analysis's own word. No SmallCircuit, InjectionReport or
+        TheoremReport is built unless an image is missing, and then only to
+        name it.
         """
         w, counts, cycles = self.word, self.counts, self.cycles
         bad: list[str] = []
@@ -226,16 +254,13 @@ class WordAnalysis:
         for r, sc_r in sorted(counts.items()):
             if sc_r > (cap := cycles.get(r, 0)):
                 bad.append(f"{w}: order {r} has {sc_r} circuits, cap {cap}")
-        if missing := missing_images(self.images, self.ranges):  # only then name them
+        if missing := self.missing:  # only then name them
             bad.extend(f"{w}: image {circ} of {sq.word} does not exist"
                        for sq, circ in self.injection.assignments
                        if (circ.root, circ.order) in missing)
-        for v, _, _, members in self.rows:
-            for sq, i, j in members:
-                if rebuild_from_coordinates(v, i, j) != sq.word:
-                    bad.append(f"{w}: coordinates ({i},{j}) do not rebuild {sq.word}")
-        pairs = [(root, r) for _, root, r in self.images]
-        if len(set(pairs)) != len(pairs):
+        bad.extend(f"{w}: coordinates ({i},{j}) do not rebuild {sq.word}"
+                   for sq, i, j in self.bad_coordinates)
+        if self.images_collide:
             bad.append(f"{w}: injection images collide")
         direct = direct_order_ranges(w, cycles)
         if direct != self.ranges:  # equal ranges name equal circuits at every order

@@ -111,25 +111,16 @@ def extremal_rotation(w: str, order: SymbolOrder = NATURAL,
 
     Renaming the letters by rank, reversed for the greatest (rotations have
     one length, so that reverses their order), makes it the least rotation
-    of the renamed word t. Lemma: that starts with the least letter c of t,
-    as any rotation starting with c beats one that does not. So only the
-    rotations at c's occurrences, found with ``str.find``, compete.
+    of the renamed word t, found by _least_start.
     """
     order.check_covers(w)
     if direction not in ("least", "greatest"):
         raise ValueError(f"direction must be least or greatest, got {direction!r}")
-    if not w:
-        raise ValueError("empty word has no conjugacy class")
     t = w
     if order.symbols is not None or direction == "greatest":
         ranked = sorted(set(w), key=order.sort_key, reverse=direction == "greatest")
         t = w.translate({ord(x): i for i, x in enumerate(ranked)})
-    n, tt, c = len(t), t + t, min(t)
-    best, at, i = t, 0, t.find(c)
-    while i >= 0:
-        if (cand := tt[i:i + n]) < best:
-            best, at = cand, i
-        i = t.find(c, i + 1)
+    at = _least_start(t)
     return w[at:] + w[:at]
 
 
@@ -139,7 +130,26 @@ def least_rotation(w: str) -> str:
     >>> least_rotation("cabab")
     'ababc'
     """
-    return extremal_rotation(w)
+    at = _least_start(w)
+    return w[at:] + w[:at]
+
+
+def _least_start(t: str) -> int:
+    """Where the least rotation of t starts, under the natural order.
+
+    Lemma: it starts with the least letter c of t, as any rotation starting
+    with c beats one that does not. So only the rotations at c's
+    occurrences, found with ``str.find``, compete.
+    """
+    if not t:
+        raise ValueError("empty word has no conjugacy class")
+    n, tt, c = len(t), t + t, min(t)
+    best, at, i = t, 0, t.find(c)
+    while i >= 0:
+        if (cand := tt[i:i + n]) < best:
+            best, at = cand, i
+        i = t.find(c, i + 1)
+    return at
 
 
 def smallest_period(w: str) -> int:

@@ -138,12 +138,13 @@ class TestOncePerWord:
         assert counts["least_rotation"] == classes
 
     def test_check_scans_each_lag_once(self, monkeypatch, capsys):
-        # one match_runs call per lag 1..LRF, shared by squares and circuits
+        # one match_runs call per lag 1..min(LRF, |w|/2), shared by squares
+        # and circuits
         w = fibonacci(300)
         counts = count_calls(monkeypatch, squares.match_runs)
         assert main(["check", w]) == 0
         capsys.readouterr()
-        assert counts["match_runs"] == longest_repeated_factor(w)
+        assert counts["match_runs"] == min(longest_repeated_factor(w), len(w) // 2)
 
     def test_sweep_computes_squares_once_per_word(self, monkeypatch, calls):
         # the batch engines analyze each walk's root, and every other word is
@@ -285,11 +286,14 @@ class TestIncrementalWalk:
                     assert span == (len(q), m), x
                     assert old is None or old[1] == m - 1, x
 
-    # a child keeps its parent's fields of what did not change, extends the
-    # rows by its new squares, and leaves the rest to be computed on use
+    # a child keeps its parent's fields of what did not change, and the
+    # battery's faults of those fields, extends the rows by its new squares,
+    # and leaves the rest to be computed on use
     @pytest.mark.parametrize("w,a,kept,extended,lazy", [
-        ("abacbab", "a", ("counts",), ("rows",), ("images",)),  # adds baba
-        ("aa", "a", ("rows", "images"), (), ("counts",)),  # adds C(a,2)
+        ("abacbab", "a", ("counts",), ("rows",),
+         ("images", "bad_coordinates", "images_collide", "missing")),  # adds baba
+        ("aa", "a", ("rows", "images", "bad_coordinates", "images_collide"), (),
+         ("counts", "missing")),  # adds C(a,2)
     ])
     def test_a_child_reads_the_fields_its_parent_computed(self, w, a, kept, extended, lazy):
         parent = WordAnalysis(w)
@@ -402,6 +406,25 @@ class TestBattery:
                     for v, index, canon, members in original(squares)]
         assert self.faked_battery(monkeypatch, verifier, "class_rows", shifted) == [
             "aababa: coordinates (2,2) do not rebuild baba"]
+
+    def test_a_sweep_names_a_shared_fault_with_each_word(self, monkeypatch):
+        # baba's row gets j = 2 in every word that has baba, whether its rows
+        # come from the batch engines or are folded from its parent's; a
+        # child that shares its parent's rows shares the fault, and each
+        # word that has baba names it once, with its own word
+        sweep = [w for n in range(1, 9) for w in canonical_words(2, n) if "baba" in w]
+        expected = sorted(f"{w}: coordinates ({i},2) do not rebuild baba"
+                          for w in sweep for _, _, _, members in class_rows(distinct_squares(w))
+                          for sq, i, _ in members if sq.word == "baba")
+        assert len(expected) == len(sweep) > 0
+        original = verifier.class_rows
+
+        def faked(*args):
+            return [(v, index, canon, [(sq, i, 2 if sq.word == "baba" else j)
+                                       for sq, i, j in members])
+                    for v, index, canon, members in original(*args)]
+        monkeypatch.setattr(verifier, "class_rows", faked)
+        assert exhaustive_search(2, 8).violations == tuple(expected)
 
     # both engines report the extra circuits, so only the caps can catch them;
     # the caps sum to |w| - |Alph(w)|, so a total above it breaks one of them

@@ -440,6 +440,8 @@ class TestExtremalRotation:
     def test_empty_word(self):
         with pytest.raises(ValueError, match="empty word has no conjugacy class"):
             extremal_rotation("", NATURAL, "greatest")
+        with pytest.raises(ValueError, match="empty word has no conjugacy class"):
+            least_rotation("")
 
     def test_missing_symbol(self):
         with pytest.raises(ValueError):
