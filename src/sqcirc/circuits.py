@@ -7,8 +7,9 @@ p^{(r+1)/|p|} over the rotations p of q. Enumeration therefore goes through
 edge periodicity instead of graph search; the graph search survives only as
 the cross-check oracle in tests/oracles.py.
 
-One engine, circuit_order_ranges, names every class with the range of orders
-it lives in; small_circuits, all_small_circuits, circuit_counts_by_order and
+One engine, circuit_order_ranges (the ranges half of the lag scan
+squares.squares_and_ranges), names every class with the range of orders it
+lives in; small_circuits, all_small_circuits, circuit_counts_by_order and
 circuit_blocks all read it. The circuits of one graph have distinct maximal
 edges (the lemma in maximal_edge), so they are linearly independent and
 independence_rank is their count. direct_order_ranges reads the same ranges
@@ -23,10 +24,11 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .rauzy import RauzyGraph, VectorCycle
-from .squares import period_runs
+from .squares import squares_and_ranges
 from .words import (
     NATURAL,
     SymbolOrder,
+    cycle_counts,
     extremal_rotation,
     is_primitive,
     least_rotation,
@@ -79,60 +81,11 @@ def small_circuits(w: str, r: int) -> frozenset[SmallCircuit]:
                      for q, (lo, hi) in circuit_order_ranges(w).items() if lo <= r <= hi)
 
 
-def circuit_order_ranges(w: str, runs=None) -> dict[str, tuple[int, int]]:
-    """For each circuit class root, the contiguous range of orders it lives in.
-
-    C(q, r) exists iff r >= |q| and every rotation of q stretches to a
-    periodic factor of length r+1, so the orders form [|q|, m-1], m the
-    least over the rotations of their longest period-|q| extension. runs is
-    period_runs(w) if the caller has it; the result is the same either way.
-
-    Lemma: at lag h, the windows u = w[t:t+h] at the positions t of the runs
-    (s, L) are the ends of direct_order_ranges, so [q] with |q| = h has a
-    circuit iff u -> rot(u) closes on its rotations after exactly h steps
-    (fewer: u is a power); its least vertex is the root. Proof sketch for m:
-    u at t extends to length s+L+h-t, and the window at t+h is u again with a
-    shorter extension, so the first min(L, h) positions of a run give every
-    window its longest one. Lemma (early stop): a run's loop stops at its
-    first window u at t that gains nothing, as every later window gains
-    nothing either. Proof sketch: the position t' that gave u an extension
-    at least as long starts a stretch of period h that agrees with the one
-    at t, so the window at t+j recurs at t'+j, inside its run, with an
-    extension at least as long. In particular a power u0 = w[s:s+h] of
-    period d | h recurs at s+d with a shorter extension, so its run stops
-    there, and no primitivity test is needed: a power's orbit closes in
-    fewer than h steps.
-
-    Lags stop at min(LRF(w), |w|/2) (see squares.period_runs). LRF(w) is
-    the length of the longest repeated factor, and every small circuit
-    C(q, r) has |q| <= r <= LRF(w). Proof sketch: if every vertex of a
-    p-cycle in Gamma_r occurred once in w, each edge u -> v would force
-    pos(v) = pos(u) + 1, so going round the cycle would advance the position
-    by p and return to the start, which is impossible. Hence some length-r
-    factor repeats.
-    """
-    if runs is None:
-        runs = period_runs(w)
-    ranges = {}
-    for h, lag_runs in enumerate(runs, 1):
-        ext: dict[str, int] = {}  # window -> its longest period-h extension
-        for s, run_len in lag_runs:
-            end = s + run_len + h
-            for t in range(s, s + min(run_len, h)):
-                u = w[t:t + h]
-                if end - t <= ext.get(u, 0):
-                    break  # see the early-stop lemma
-                ext[u] = end - t
-        while len(ext) >= h:  # fewer windows cannot close an orbit of h
-            u, m = ext.popitem()
-            orbit, v = [u], u[1:] + u[0]
-            while v in ext:
-                orbit.append(v)
-                m = min(m, ext.pop(v))
-                v = v[1:] + v[0]
-            if v == u and len(orbit) == h:  # every extension is at least h + 1 long
-                ranges[min(orbit)] = (h, m - 1)
-    return ranges
+def circuit_order_ranges(w: str) -> dict[str, tuple[int, int]]:
+    """For each circuit class root, the contiguous range of orders it lives in:
+    [|q|, m-1], m the least over q's rotations of their longest period-|q|
+    extension. The ranges of squares.squares_and_ranges (see its lemmas)."""
+    return squares_and_ranges(w, cycle_counts(w))[1]
 
 
 def extend_order_ranges(ranges: dict[str, tuple[int, int]], wa: str,

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .circuits import SmallCircuit, _canonical_circuit, circuit_order_ranges
-from .squares import Square, SquareClass, class_rows, distinct_squares, period_runs
+from .circuits import SmallCircuit, _canonical_circuit
+from .squares import Square, SquareClass, class_rows, squares_and_ranges
+from .words import cycle_counts
 
 
 class InjectionReport(NamedTuple):
@@ -55,9 +56,8 @@ def inject_class(cls: SquareClass) -> list[tuple[Square, SmallCircuit]]:
 
 def build_injection(w: str) -> InjectionReport:
     """The full map over every class, with its health flags, from one scan."""
-    runs = period_runs(w)
-    return audit_injection(class_images(class_rows(distinct_squares(w, runs))),
-                           circuit_order_ranges(w, runs))
+    squares, ranges = squares_and_ranges(w, cycle_counts(w))
+    return audit_injection(class_images(class_rows(squares)), ranges)
 
 
 def missing_images(images: list[tuple[Square, str, int]],

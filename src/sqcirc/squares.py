@@ -1,11 +1,13 @@
 """Distinct square factors and their conjugacy classes.
 
-A square is a factor uu. Squares are grouped by the conjugacy class of the
-primitive root of the half u. One pass, class_rows, gives each class its
-index, its root v and every member's coordinates (i, j), from which
-rebuild_from_coordinates rebuilds the member; square_classes is the
-SquareClass view of those rows. For the sweep, suffix_squares lists the
-squares that one more letter adds, and class_rows folds them into the rows.
+A square is a factor uu. squares_and_ranges lists the distinct squares and,
+off the same lag scan, the circuit order ranges. Squares are grouped by the
+conjugacy class of the primitive root of the half u. One pass, class_rows,
+gives each class its index, its root v and every member's coordinates
+(i, j), from which rebuild_from_coordinates rebuilds the member;
+square_classes is the SquareClass view of those rows. For the sweep,
+suffix_squares lists the squares that one more letter adds, and class_rows
+folds them into the rows.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import re
 from collections import namedtuple
 from typing import NamedTuple
 
-from .words import is_primitive, least_rotation, longest_repeated_factor, primitive_root
+from .words import cycle_counts, is_primitive, least_rotation, primitive_root
 
-_MISMATCH = re.compile(rb"[^\x00]+")
+_ZEROS = re.compile(rb"\x00+")
 
 
 class Square(namedtuple("Square", "half word")):
@@ -44,80 +46,126 @@ def _encode(w: str) -> bytes | None:
     return bytes(table[c] for c in w)
 
 
-def match_runs(w: str, lag: int, _wb: bytes | None = None) -> list[tuple[int, int]]:
+def _mismatches(w: str, wb: bytes | None, lag: int) -> bytes:
+    # byte t is 0 iff w[t] == w[t+lag], for wb = _encode(w) and 1 <= lag < |w|
+    if wb is None:  # over 256 symbols: compare symbol by symbol
+        return bytes(a != b for a, b in zip(w, w[lag:]))
+    k = len(w) - lag
+    return (int.from_bytes(wb[:k], "big") ^ int.from_bytes(wb[lag:], "big")).to_bytes(k, "big")
+
+
+def _runs(z: bytes):
+    # the maximal runs (start, length) of zero bytes in z
+    for m in _ZEROS.finditer(z):
+        s, e = m.span()
+        yield s, e - s
+
+
+def _long_runs(z: bytes, least: int):
+    # the maximal runs of zero bytes in z at least least long, at C speed:
+    # each search resumes at a nonzero byte, so its match starts a run
+    pad, s = b"\0" * least, 0
+    while (s := z.find(pad, s)) >= 0:
+        e = _ZEROS.match(z, s).end()
+        yield s, e - s
+        s = e
+
+
+def match_runs(w: str, lag: int) -> list[tuple[int, int]]:
     """Maximal runs (start, length) of positions t with w[t] == w[t+lag].
 
     A run (s, L) certifies that w[s : s+L+lag] is periodic with period lag.
     """
-    n = len(w)
     if not 1 <= lag:
         raise ValueError("lag must be positive")
-    if lag >= n:
-        return []
-    wb = _encode(w) if _wb is None else _wb
-    if wb is None:  # over 256 symbols: compare symbol by symbol
-        z = bytes(a != b for a, b in zip(w, w[lag:]))
-    else:
-        x = int.from_bytes(wb[:n - lag], "big") ^ int.from_bytes(wb[lag:], "big")
-        z = x.to_bytes(n - lag, "big")
-    runs = []
-    prev = 0
-    for m in _MISMATCH.finditer(z):
-        if m.start() > prev:
-            runs.append((prev, m.start() - prev))
-        prev = m.end()
-    if n - lag > prev:
-        runs.append((prev, n - lag - prev))
-    return runs
+    return list(_runs(_mismatches(w, _encode(w), lag))) if lag < len(w) else []
 
 
-def period_runs(w: str, lrf: int | None = None) -> list[list[tuple[int, int]]]:
-    """[match_runs(w, lag) for lag in 1..min(LRF(w), |w|/2)], from one
-    encoding of w.
+def squares_and_ranges(w: str, cycles: dict[int, int]) -> tuple[frozenset[Square],
+                                                              dict[str, tuple[int, int]]]:
+    """distinct_squares(w) and circuits.circuit_order_ranges(w) from one scan
+    of the lags h = 1..min(LRF(w), |w|/2), each lag's runs (those of
+    match_runs) read off one mismatch string; cycles is
+    words.cycle_counts(w), whose largest key is LRF(w).
 
-    Squares and small circuits are both read off these runs, and neither
-    needs a lag h above LRF(w) or |w|/2. Proof sketch: a square uu with
-    |u| = h needs 2h <= |w|, and u occurs at two positions, so h <= LRF(w);
-    a circuit root of length h has h distinct rotations, windows w[t:t+h]
-    with w[t] == w[t+h], so starts t <= |w| - h - 1, and h <= |w| - h; and
-    h <= LRF(w) by the lemma in circuits.circuit_order_ranges. lrf is LRF(w)
-    if the caller has it; the result is the same either way.
+    Lemma (lags): a square uu with |u| = h needs 2h <= |w|, and u occurs
+    twice, so h <= LRF(w); a root of length h has h distinct windows
+    w[t:t+h] with w[t] == w[t+h], so h <= |w| - h; and every small circuit
+    C(q, r) has |q| <= r <= LRF(w). Proof sketch: if every vertex of a
+    p-cycle in Gamma_r occurred once in w, each edge u -> v would force
+    pos(v) = pos(u) + 1, so going round the cycle would advance by p.
+
+    Lemma (squares): a square of half h starts at p iff p..p+h-1 lie in one
+    run (s, L) at lag h, and only the first min(rho, L-h+1) of the run's
+    squares can be distinct, rho the length of the primitive root x of
+    w[s:s+h]: w[s:s+L+h] has period h and starts with x^(h/rho), so period rho.
+
+    Lemma (roots): the windows u = w[t:t+h] at the positions t of the runs
+    are the ends of circuits.direct_order_ranges, so [q] with |q| = h has a
+    circuit iff u -> rot(u) closes on its rotations after exactly h steps
+    (fewer: u is a power); its least vertex is the root, and its orders are
+    [h, m-1], m the least longest period-h extension of its windows. u at t
+    extends to length s+L+h-t, and the window at t+h is u again with a
+    shorter extension, so the first min(L, h) positions of a run give every
+    window its longest one. Lemma (early stop): a run's loop stops at its
+    first window u at t that gains nothing, as every later window gains
+    nothing either. Proof sketch: the position t' that gave u an extension
+    at least as long starts a stretch of period h that agrees with the one
+    at t, so the window at t+j recurs at t'+j, inside its run, with an
+    extension at least as long. So a power u0 = w[s:s+h] of period d | h
+    recurs at s+d with a shorter extension, and no primitivity test is needed.
+
+    Lemma (cap): when the roots found at lags below h whose orders reach h
+    number at least cycles[h], no root has length h, and lag h lists only
+    its runs of length >= h, for the squares. Proof sketch: one more would
+    be one more small circuit of Gamma_h; its small circuits have distinct
+    maximal edges (circuits.maximal_edge), so independent edge vectors, and
+    number at most the dimension of its cycle space, the cyclomatic number
+    cycles[h] of the weakly connected Gamma_h (see words.cycle_counts).
     """
-    if lrf is None:
-        lrf = longest_repeated_factor(w)
-    wb = _encode(w)
-    return [match_runs(w, lag, wb) for lag in range(1, min(lrf, len(w) // 2) + 1)]
+    n, wb = len(w), _encode(w)
+    found: set[str] = set()
+    ranges: dict[str, tuple[int, int]] = {}
+    alive, last = 0, {}  # roots whose orders reach h; counts by last order
+    for h in range(1, min(max(cycles, default=0), n // 2) + 1):
+        alive -= last.pop(h - 1, 0)
+        z, full = _mismatches(w, wb, h), alive >= cycles[h]
+        ext: dict[str, int] = {}  # window -> its longest period-h extension
+        for s, run_len in _long_runs(z, h) if full else _runs(z):
+            if run_len >= h:
+                rho = len(primitive_root(w[s:s + h])[0])
+                for p in range(s, s + min(rho, run_len - h + 1)):
+                    found.add(w[p:p + 2 * h])
+            if full:
+                continue
+            end = s + run_len + h
+            for t in range(s, s + min(run_len, h)):
+                u = w[t:t + h]
+                if end - t <= ext.get(u, 0):
+                    break  # see the early-stop lemma
+                ext[u] = end - t
+        while len(ext) >= h:  # fewer windows cannot close an orbit of h
+            u, m = ext.popitem()
+            orbit, v = [u], u[1:] + u[0]
+            while v in ext:
+                orbit.append(v)
+                m = min(m, ext.pop(v))
+                v = v[1:] + v[0]
+            if v == u and len(orbit) == h:  # every extension is at least h + 1 long
+                ranges[min(orbit)] = (h, m - 1)
+                alive += 1
+                last[m - 1] = last.get(m - 1, 0) + 1
+    return frozenset(Square(sq[:len(sq) // 2], sq) for sq in found), ranges
 
 
-def distinct_squares(w: str, runs=None) -> frozenset[Square]:
-    """All nonempty factors of w of the form uu, as words (not occurrences).
-
-    runs is period_runs(w) if the caller has it; the result is the same. A
-    square of half length h starts at p iff p..p+h-1 lie in one run (s, L)
-    at lag h, so the run gives the squares at s..s+L-h.
-
-    Lemma: only the first min(rho, L-h+1) of them can be distinct, rho the
-    length of the primitive root x of w[s:s+h]. Proof sketch: the span
-    w[s:s+L+h] has period h and starts with x^(h/rho), so it is a factor of
-    x^infinity and has period rho; the squares at p and p+rho are equal.
-
-    Only lags h <= min(|w|/2, LRF(w)) give squares (see period_runs).
+def distinct_squares(w: str) -> frozenset[Square]:
+    """All nonempty factors of w of the form uu, as words (not occurrences):
+    the squares of squares_and_ranges.
 
     >>> sorted(sq.word for sq in distinct_squares("aababa"))
     ['aa', 'abab', 'baba']
     """
-    if runs is None:
-        runs = period_runs(w)
-    found: set[str] = set()
-    for half, lag_runs in enumerate(runs, 1):
-        for s, run_len in lag_runs:
-            starts = run_len - half + 1
-            if starts <= 0:
-                continue
-            rho = len(primitive_root(w[s:s + half])[0])
-            for p in range(s, s + min(rho, starts)):
-                found.add(w[p:p + 2 * half])
-    return frozenset(Square(sq[:len(sq) // 2], sq) for sq in found)
+    return squares_and_ranges(w, cycle_counts(w))[0]
 
 
 def suffix_squares(wa: str, m: int) -> list[Square]:

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .circuits import (
     circuit_blocks,
-    circuit_order_ranges,
     circuit_pairs,
     direct_order_ranges,
     extend_order_ranges,
@@ -25,9 +24,8 @@ from .rauzy import RauzyGraph, build_rauzy
 from .squares import (
     Square,
     class_rows,
-    distinct_squares,
-    period_runs,
     rebuild_from_coordinates,
+    squares_and_ranges,
     suffix_squares,
 )
 from .words import (
@@ -93,8 +91,8 @@ class WordAnalysis:
     """Everything the bound's chain knows about one word: a frozen record of
     the word alone, each field computed on first use and kept, so a report
     pays only for what it renders. The squares and the circuit order ranges
-    are read off one period_runs scan, held until both have read it. The
-    class rows of squares.class_rows and their images under
+    come from one scan, squares.squares_and_ranges, and are stored together.
+    The class rows of squares.class_rows and their images under
     injection.class_images feed the invariant battery as plain tuples. Only
     the reports read the InjectionReport and the TheoremReport, and only the
     TheoremReport needs a nonempty word. The reports render the classes from
@@ -133,13 +131,16 @@ class WordAnalysis:
         The class rows and their images are functions of the squares alone,
         and the circuit counts of the ranges alone; so when the child's
         squares (ranges) object is this one's, it reads this one's rows and
-        images (counts), if computed. The battery's fault fields follow their
-        sources: bad_coordinates is read off the rows, images_collide off the
-        images, and missing off the images and the ranges, so the child reads
-        this one's, if computed, exactly when it shares those sources. When
-        the letter adds squares, the child's rows are this one's, if
-        computed, with the new squares folded in by squares.class_rows; its
-        images and their faults stay lazy.
+        images (counts), if computed. When the letter adds circuits, each
+        root that extend_order_ranges writes gains the order m, so the
+        child's counts are this one's, if computed, plus one at m per root.
+        The battery's fault fields follow their sources: bad_coordinates is
+        read off the rows, images_collide off the images, and missing off the
+        images and the ranges, so the child reads this one's, if computed,
+        exactly when it shares those sources. When the letter adds squares,
+        the child's rows are this one's, if computed, with the new squares
+        folded in by squares.class_rows; its images and their faults stay
+        lazy.
         """
         w = self.word
         wa, m = w + a, 0
@@ -154,6 +155,9 @@ class WordAnalysis:
         ranges = fields["ranges"] = extend_order_ranges(self.ranges, wa, m)
         same = ranges is self.ranges
         shared = ["counts"] if same else []
+        if not same and "counts" in mine:  # every root the letter writes adds C(q, m)
+            counts = fields["counts"] = dict(mine["counts"])
+            counts[m] = counts.get(m, 0) + len(ranges.items() - self.ranges.items())
         if not new:
             shared += ["rows", "images", "bad_coordinates", "images_collide"]
             if same:
@@ -167,20 +171,15 @@ class WordAnalysis:
     def cycles(self) -> dict[int, int]:
         return cycle_counts(self.word)
 
-    def _runs_for(self, other: str) -> list[list[tuple[int, int]]]:
-        # period_runs(w) for squares or ranges, held until other has read it too
-        stored = self.__dict__
-        if "_runs" not in stored:
-            stored["_runs"] = period_runs(self.word, max(self.cycles, default=0))
-        return stored.pop("_runs") if other in stored else stored["_runs"]
+    @_lazy
+    def squares(self) -> frozenset[Square]:  # stores the ranges of the same scan
+        squares, self.__dict__["ranges"] = squares_and_ranges(self.word, self.cycles)
+        return squares
 
     @_lazy
-    def squares(self) -> frozenset[Square]:
-        return distinct_squares(self.word, self._runs_for("ranges"))
-
-    @_lazy
-    def ranges(self) -> dict[str, tuple[int, int]]:
-        return circuit_order_ranges(self.word, self._runs_for("squares"))
+    def ranges(self) -> dict[str, tuple[int, int]]:  # and the squares
+        self.__dict__["squares"], ranges = squares_and_ranges(self.word, self.cycles)
+        return ranges
 
     @_lazy
     def counts(self) -> dict[int, int]:

@@ -10,6 +10,8 @@ import sys
 import networkx as nx
 
 from sqcirc.circuits import _powers, order_counts
+from sqcirc.squares import match_runs
+from sqcirc.words import is_primitive, least_rotation
 
 
 def elementary_cycles_oracle(g, max_size: int,
@@ -34,6 +36,25 @@ def elementary_cycles_oracle(g, max_size: int,
         out.add(frozenset(cyc[k] + cyc[(k + 1) % len(cyc)][-1]
                           for k in range(len(cyc))))
     return frozenset(out)
+
+
+def ranges_all_lags(w):
+    """circuit_order_ranges without the LRF cut or the cap lemma: every lag
+    1..|w|-1, each root read off the coverage of its rotations."""
+    coverage = {}
+    for lag in range(1, len(w)):
+        for s, run_len in match_runs(w, lag):
+            base = w[s:s + lag]
+            if not is_primitive(base):
+                continue
+            canon = least_rotation(base)
+            off = (canon + canon).find(base)
+            arr = coverage.setdefault(canon, [0] * lag)
+            for phi in range(min(lag, run_len)):
+                g = (off + phi) % lag
+                arr[g] = max(arr[g], run_len + lag - phi)
+    return {canon: (len(canon), min(arr) - 1)
+            for canon, arr in coverage.items() if min(arr) - 1 >= len(canon)}
 
 
 def squares_scan(w: str) -> set[str]:

@@ -20,7 +20,7 @@ from sqcirc.circuits import (
 from sqcirc.cli import main
 from sqcirc.injection import (InjectionReport, build_injection, class_images,
                               missing_images)
-from sqcirc.squares import class_rows, distinct_squares, period_runs, square_classes
+from sqcirc.squares import class_rows, distinct_squares, square_classes, squares_and_ranges
 from sqcirc.verifier import (
     TheoremReport,
     WordAnalysis,
@@ -67,9 +67,10 @@ def count_calls(monkeypatch, *functions) -> Counter:
 @pytest.fixture
 def calls(monkeypatch):
     """Count calls to the engines that WordAnalysis's fields are read off:
-    the period runs, the squares and circuit ranges read off them, and the
-    cycle counts, which LRF is read off."""
-    return count_calls(monkeypatch, period_runs, distinct_squares,
+    the one scan that gives the squares and the circuit ranges, the
+    standalone distinct_squares and circuit_order_ranges, which no field
+    reads, and the cycle counts, which LRF and the caps are read off."""
+    return count_calls(monkeypatch, squares_and_ranges, distinct_squares,
                        circuit_order_ranges, cycle_counts)
 
 
@@ -85,19 +86,15 @@ class TestOncePerWord:
     def test_check_computes_each_engine_once(self, calls, capsys, w, flags):
         assert main(["check", w, *flags]) == 0
         capsys.readouterr()
-        assert calls == {"period_runs": 1, "distinct_squares": 1,
-                         "circuit_order_ranges": 1, "cycle_counts": 1}
+        assert calls == {"squares_and_ranges": 1, "cycle_counts": 1}
 
     @pytest.mark.parametrize("command", ["inject", "classes", "squares", "circuits"])
     def test_word_commands_scan_once(self, calls, capsys, command):
-        # each command reads only the engines its fields need
-        read = {"inject": ["distinct_squares", "circuit_order_ranges"],
-                "classes": ["distinct_squares"], "squares": ["distinct_squares"],
-                "circuits": ["circuit_order_ranges"]}[command]
+        # the squares and the ranges come from one scan, which each command
+        # runs once, whichever of them it reads
         assert main([command, EXAMPLE_22 * 3]) == 0
         capsys.readouterr()
-        assert calls == dict.fromkeys(
-            ["period_runs", "cycle_counts", *read], 1)
+        assert calls == {"squares_and_ranges": 1, "cycle_counts": 1}
 
     @pytest.mark.parametrize("command,w", [("check", fibonacci(300)),
                                            ("circuits", EXAMPLE_22 * 3)],
@@ -138,13 +135,20 @@ class TestOncePerWord:
         assert counts["least_rotation"] == classes
 
     def test_check_scans_each_lag_once(self, monkeypatch, capsys):
-        # one match_runs call per lag 1..min(LRF, |w|/2), shared by squares
-        # and circuits
+        # one mismatch scan per lag 1..min(LRF, |w|/2), shared by squares
+        # and circuits, and no match_runs call
         w = fibonacci(300)
+        lags = []
+
+        def counted(w, wb, lag, _original=squares._mismatches):
+            lags.append(lag)
+            return _original(w, wb, lag)
+        monkeypatch.setattr(squares, "_mismatches", counted)
         counts = count_calls(monkeypatch, squares.match_runs)
         assert main(["check", w]) == 0
         capsys.readouterr()
-        assert counts["match_runs"] == min(longest_repeated_factor(w), len(w) // 2)
+        assert lags == list(range(1, min(longest_repeated_factor(w), len(w) // 2) + 1))
+        assert counts == {}
 
     def test_sweep_computes_squares_once_per_word(self, monkeypatch, calls):
         # the batch engines analyze each walk's root, and every other word is
@@ -153,17 +157,14 @@ class TestOncePerWord:
         summary = exhaustive_search(2, 8)
         words = sum(canonical_count(2, n) for n in range(1, 9))
         assert summary.words_checked == words == new["suffix_squares"]
-        assert calls == dict.fromkeys(["period_runs", "distinct_squares",
-                                       "circuit_order_ranges", "cycle_counts"], 1)
+        assert calls == {"squares_and_ranges": 1, "cycle_counts": 1}
         calls.clear()
         new.clear()
         roots = list(canonical_words(2, 6))
         units = [verifier._sweep_lengths(2, range(6, 9), p) for p in roots]
         words = sum(canonical_count(2, n) for n in range(6, 9))
         assert sum(unit[0] for unit in units) == words == new["suffix_squares"] + len(roots)
-        assert calls == dict.fromkeys(
-            ["period_runs", "distinct_squares", "circuit_order_ranges",
-             "cycle_counts"], len(roots))
+        assert calls == dict.fromkeys(["squares_and_ranges", "cycle_counts"], len(roots))
 
     def test_sweep_runs_the_battery_once_per_word(self, monkeypatch):
         # the battery's direct engine runs once per word, on every word
@@ -215,12 +216,14 @@ class TestOncePerWord:
         capsys.readouterr()
         assert exhaustive_search(2, 8).violations == ()
 
-    def test_period_runs_kept_until_squares_and_ranges_read_them(self, calls):
+    @pytest.mark.parametrize("first", ["squares", "ranges"])
+    def test_squares_and_ranges_are_read_off_one_scan(self, calls, first):
         analysis = WordAnalysis(EXAMPLE_22)
-        assert analysis.squares and "_runs" in vars(analysis)
-        assert analysis.ranges
+        assert getattr(analysis, first)
         assert set(vars(analysis)) == {"word", "cycles", "squares", "ranges"}
-        assert calls["period_runs"] == 1
+        assert calls == {"squares_and_ranges": 1, "cycle_counts": 1}
+        assert analysis.squares == distinct_squares(EXAMPLE_22)
+        assert analysis.ranges == circuit_order_ranges(EXAMPLE_22)
 
 
 class TestIncrementalWalk:
@@ -266,7 +269,8 @@ class TestIncrementalWalk:
         # each range the letter changes is (|q|, m), extending an old one
         # that stopped at m - 1 (the order-m lemma of extend_order_ranges);
         # the rows are read at every step, so each child that adds squares
-        # folds them into its parent's rows (squares.class_rows); the oracle
+        # folds them into its parent's rows (squares.class_rows), and each
+        # that adds circuits adds them to its parent's counts at m; the oracle
         # maximal-edge pass finds no collision on any prefix
         a = WordAnalysis("")
         assert a.rows == []
@@ -277,6 +281,7 @@ class TestIncrementalWalk:
             assert a.cycles == cycle_counts(x), x
             assert a.squares == distinct_squares(x), x
             assert a.ranges == circuit_order_ranges(x), x
+            assert a.counts == order_counts(a.ranges), x
             assert a.rows == class_rows(a.squares), x
             assert a.images == class_images(a.rows), x
             assert maximal_edge_pass(x, a.ranges) == [], x
@@ -287,13 +292,16 @@ class TestIncrementalWalk:
                     assert old is None or old[1] == m - 1, x
 
     # a child keeps its parent's fields of what did not change, and the
-    # battery's faults of those fields, extends the rows by its new squares,
-    # and leaves the rest to be computed on use
+    # battery's faults of those fields, extends the rows by its new squares
+    # and the counts by its new circuits, and leaves the rest to be computed
+    # on use
     @pytest.mark.parametrize("w,a,kept,extended,lazy", [
         ("abacbab", "a", ("counts",), ("rows",),
          ("images", "bad_coordinates", "images_collide", "missing")),  # adds baba
-        ("aa", "a", ("rows", "images", "bad_coordinates", "images_collide"), (),
-         ("counts", "missing")),  # adds C(a,2)
+        ("aa", "a", ("rows", "images", "bad_coordinates", "images_collide"), ("counts",),
+         ("missing",)),  # adds C(a,2)
+        ("abaaababaaba", "a", (), ("rows", "counts"),
+         ("images", "bad_coordinates", "images_collide", "missing")),  # adds C(aab,4), C(aaab,4)
     ])
     def test_a_child_reads_the_fields_its_parent_computed(self, w, a, kept, extended, lazy):
         parent = WordAnalysis(w)
@@ -302,9 +310,12 @@ class TestIncrementalWalk:
         assert all(vars(child)[key] is vars(parent)[key] for key in kept)
         assert all(key in vars(child) and vars(child)[key] is not vars(parent)[key]
                    for key in extended)
-        if extended:  # from the parent's rows, which stay as they were
+        if "rows" in extended:  # from the parent's rows, which stay as they were
             assert child.rows == class_rows(child.squares) != parent.rows
             assert parent.rows == class_rows(parent.squares)
+        if "counts" in extended:  # from the parent's counts, which stay as they were
+            assert child.counts == order_counts(child.ranges) != parent.counts
+            assert parent.counts == order_counts(parent.ranges)
         assert not set(lazy) & set(vars(child))
         assert child.violations == ()
 
@@ -436,9 +447,28 @@ class TestBattery:
     def test_circuits_over_the_caps(self, monkeypatch, extra, messages):
         self.fake_direct_engine(monkeypatch, lambda ranges: {**ranges, **extra})
         assert self.faked_battery(
-            monkeypatch, verifier, "circuit_order_ranges",
-            lambda original, w, runs: {**original(w, runs), **extra}) == [
+            monkeypatch, verifier, "squares_and_ranges",
+            lambda original, w, cycles: (original(w, cycles)[0],
+                                         {**original(w, cycles)[1], **extra})) == [
             f"aababa: {m}" for m in messages]
+
+    # the scan is told that Gamma_h has no cycle, so by the cap lemma it
+    # skips lag h and misses the root of length h; the direct engine has no
+    # cap prune, so the battery names each order of the missed root
+    @pytest.mark.parametrize("w,h", [("aababa", 2), (fibonacci(300), 21)],
+                             ids=["aababa", "fib300"])
+    def test_a_root_the_cap_skips_is_named(self, monkeypatch, w, h):
+        ranges = circuit_order_ranges(w)
+        ((q, (_, hi)),) = [(q, span) for q, span in ranges.items() if len(q) == h]
+        counts = order_counts(ranges)
+        original = verifier.squares_and_ranges
+        monkeypatch.setattr(verifier, "squares_and_ranges",
+                            lambda w, cycles: original(w, {**cycles, h: 0}))
+        a = WordAnalysis(w)
+        assert q not in a.ranges
+        assert [m for m in a.violations if "enumerators disagree" in m] == [
+            f"{w}: order {r} enumerators disagree ({counts[r]} direct vs "
+            f"{counts[r] - 1} batched)" for r in range(h, hi + 1)]
 
     def test_check_runs_no_per_order_enumeration_or_rank(self, monkeypatch, capsys):
         # one engine call covers every order

@@ -21,7 +21,7 @@ from sqcirc.circuits import (
     vector_cycle,
 )
 from sqcirc.rauzy import build_rauzy, cyclomatic_number
-from sqcirc.squares import match_runs, period_runs
+import sqcirc.squares as squares_module
 from sqcirc.verifier import canonical_words
 from sqcirc.words import (
     NATURAL,
@@ -44,7 +44,9 @@ from oracles import (
     elementary_cycles_oracle,
     fibonacci,
     random_word,
+    ranges_all_lags,
     replace_everywhere,
+    squares_scan,
     thue_morse,
 )
 
@@ -137,24 +139,6 @@ class TestAllSmallCircuits:
         assert circuit_counts_by_order("aababa") == {1: 1, 2: 1, 3: 1}
 
 
-def ranges_all_lags(w):
-    """circuit_order_ranges without the LRF cut: every lag 1..|w|-1."""
-    coverage = {}
-    for lag in range(1, len(w)):
-        for s, run_len in match_runs(w, lag):
-            base = w[s:s + lag]
-            if not is_primitive(base):
-                continue
-            canon = least_rotation(base)
-            off = (canon + canon).find(base)
-            arr = coverage.setdefault(canon, [0] * lag)
-            for phi in range(min(lag, run_len)):
-                g = (off + phi) % lag
-                arr[g] = max(arr[g], run_len + lag - phi)
-    return {canon: (len(canon), min(arr) - 1)
-            for canon, arr in coverage.items() if min(arr) - 1 >= len(canon)}
-
-
 def brute_lrf(w):
     """Largest k such that some length-k window of w occurs twice."""
     return max((k for k in range(1, len(w))
@@ -185,18 +169,45 @@ class TestLagCut:
 
     def test_no_primitivity_test(self, monkeypatch):
         # the early-stop lemma: a run's loop stops at its first window that
-        # gains nothing, and a power's orbit closes in fewer than lag steps
-        w = fibonacci(300)
-        runs = period_runs(w)
+        # gains nothing, and a power's orbit closes in fewer than lag steps;
+        # on Thue-Morse the cap lemma skips no lag's windows
         calls = []
 
         def counted(u, _original=is_primitive):
             calls.append(u)
             return _original(u)
         replace_everywhere(monkeypatch, is_primitive, counted)
-        ranges = circuit_order_ranges(w, runs)
-        assert calls == []
-        assert ranges == ranges_all_lags(w)
+        for w in (fibonacci(300), thue_morse(300)):
+            ranges = squares_module.squares_and_ranges(w, cycle_counts(w))[1]
+            assert calls == []
+            assert ranges == ranges_all_lags(w)
+
+    # the cap lemma: a lag lists every run, for the circuit windows, only
+    # while the roots alive at its order leave Gamma_h's cycle space room;
+    # on Sturmian words its two cycles are almost always taken by shorter
+    # roots, on a unary word C(a, 1) takes Gamma_h's one cycle at every
+    # order, and on Thue-Morse the cap is never met
+    @pytest.mark.parametrize("w,windowed", [(fibonacci(384), 19), ("a" * 512, 1),
+                                            (thue_morse(384), 128)],
+                             ids=["fib384", "unary512", "tm384"])
+    def test_lags_that_build_circuit_windows(self, monkeypatch, w, windowed):
+        every, long_only = [], []
+
+        def runs(z, _original=squares_module._runs):
+            every.append(len(w) - len(z))
+            return _original(z)
+
+        def long_runs(z, least, _original=squares_module._long_runs):
+            long_only.append(len(w) - len(z))
+            return _original(z, least)
+        monkeypatch.setattr(squares_module, "_runs", runs)
+        monkeypatch.setattr(squares_module, "_long_runs", long_runs)
+        squares, ranges = squares_module.squares_and_ranges(w, cycle_counts(w))
+        top = min(longest_repeated_factor(w), len(w) // 2)
+        assert len(every) == windowed
+        assert sorted(every + long_only) == list(range(1, top + 1))
+        assert ranges == direct_order_ranges(w, cycle_counts(w))
+        assert {sq.word for sq in squares} == squares_scan(w)
 
     def test_no_repeated_factor_no_circuits(self):
         for w in ("a", "abc"):
@@ -251,6 +262,28 @@ def factor_test_words():
     yield from (fibonacci(384), thue_morse(384))
     yield from ("a" * n for n in range(1, 65))
     yield from ("aababa", NEST_WORD, "baababaababbbabbabbbab")
+
+
+class TestFibonacciClosedForm:
+    def test_one_class_per_fibonacci_length(self):
+        # Rauzy (1982): each Rauzy graph of a Sturmian word is two cycles
+        # joined along a path; on the Fibonacci word, for F_(k+1) - 2 < r <=
+        # F_(k+2) - 2 (between consecutive bispecial lengths F_j - 2) the
+        # cycles have lengths F_k and F_(k+1) (Berstel & Seebold, "Sturmian
+        # words", ch. 2 of Lothaire, Algebraic Combinatorics on Words, 2002).
+        # So the cycle of length l = F_k is a cycle of Gamma_r for
+        # l - 1 <= r <= l'' - 2, l'' = F_(k+2), and a small one from r = l:
+        # its class's range is (l, l'' - 2). On the prefix of length 2,584 =
+        # F_18 the two longest roots are cut short by the prefix's end, the
+        # longest at LRF = 1,595
+        w, fib = fibonacci(2584), [1, 2]
+        while fib[-1] < 2584:
+            fib.append(fib[-1] + fib[-2])
+        expected = {l: (l, fib[k + 2] - 2) for k, l in enumerate(fib[:13])}
+        expected.update({610: (610, 987), 987: (987, 1595)})
+        for ranges in (circuit_order_ranges(w), direct_order_ranges(w, cycle_counts(w))):
+            assert {len(q): span for q, span in ranges.items()} == expected
+            assert len(ranges) == len(expected)
 
 
 class TestFactorTestEngine:

@@ -10,17 +10,19 @@ from sqcirc.squares import (
     class_rows,
     distinct_squares,
     match_runs,
-    period_runs,
     rebuild_from_coordinates,
     square_classes,
+    squares_and_ranges,
     suffix_squares,
     _encode,
 )
-from sqcirc.circuits import circuit_order_ranges
+import sqcirc.squares as squares_module
+from sqcirc.circuits import circuit_order_ranges, direct_order_ranges
 from sqcirc.verifier import canonical_words
-from sqcirc.words import conjugacy_class, factors, longest_repeated_factor, rotation
+from sqcirc.words import conjugacy_class, cycle_counts, factors, longest_repeated_factor, rotation
 
-from oracles import coordinates_oracle, fibonacci, random_word, squares_scan, thue_morse
+from oracles import (coordinates_oracle, fibonacci, random_word, ranges_all_lags, squares_scan,
+                     thue_morse)
 
 EXAMPLE_22 = "baababaababbbabbabbbab"
 EXAMPLE_22_SQUARES = {
@@ -137,18 +139,32 @@ class TestRunBasedScan:
         for w in self.agreement_words():
             assert {s.word for s in distinct_squares(w)} == squares_scan(w), w
 
-    def test_period_runs_are_match_runs_to_lrf(self):
-        for w in self.agreement_words() + [""]:
-            runs = period_runs(w)
-            assert len(runs) == min(longest_repeated_factor(w), len(w) // 2)
-            for lag, lag_runs in enumerate(runs, 1):
-                assert lag_runs == match_runs(w, lag)
+    def test_scan_reads_match_runs_to_lrf(self, monkeypatch):
+        # each lag 1..min(LRF, |w|/2) once, its every run the run of
+        # match_runs, its long runs those at least the lag long
+        seen = []
 
-    def test_runs_argument_changes_nothing(self):
+        def mismatches(w, wb, lag, _original=squares_module._mismatches):
+            z = _original(w, wb, lag)
+            seen.append((lag, list(squares_module._runs(z)),
+                         list(squares_module._long_runs(z, lag))))
+            return z
+        monkeypatch.setattr(squares_module, "_mismatches", mismatches)
+        for w in self.agreement_words() + [""]:
+            seen.clear()
+            squares_and_ranges(w, cycle_counts(w))
+            top = min(longest_repeated_factor(w), len(w) // 2)
+            scanned = seen[:]  # match_runs below scans too
+            assert [lag for lag, _, _ in scanned] == list(range(1, top + 1)), w
+            for lag, runs, long_runs in scanned:
+                assert runs == match_runs(w, lag)
+                assert long_runs == [(s, k) for s, k in runs if k >= lag]
+
+    def test_one_scan_gives_squares_and_ranges(self):
         for w in self.agreement_words():
-            runs = period_runs(w)
-            assert distinct_squares(w, runs) == distinct_squares(w)
-            assert circuit_order_ranges(w, runs) == circuit_order_ranges(w)
+            squares, ranges = squares_and_ranges(w, cycle_counts(w))
+            assert squares == distinct_squares(w)
+            assert ranges == circuit_order_ranges(w) == direct_order_ranges(w, cycle_counts(w))
 
     def test_pure_python_path_past_256_symbols(self):
         # over 256 distinct symbols, match_runs falls back to plain comparison
@@ -166,6 +182,9 @@ class TestRunBasedScan:
             assert covered == [t for t in range(len(w) - lag)
                                if w[t] == w[t + lag]]
         assert {s.word for s in distinct_squares(w)} == squares_scan(w)
+        # the circuits too, at the lags the cap lemma skips and at the others
+        assert circuit_order_ranges(w) == direct_order_ranges(w, cycle_counts(w)) \
+            == ranges_all_lags(w)
 
     def test_long_words_use_run_path(self):
         rng = random.Random(24)
