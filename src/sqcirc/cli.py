@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 invariant violation
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from itertools import groupby
 
@@ -23,10 +25,13 @@ from .verifier import (
 from .words import NATURAL, SymbolOrder
 
 OK, USAGE, IO, VIOLATION = 0, 1, 2, 3
-# check --json writes its parts in batches of at least this many characters:
-# under python -u or PYTHONUNBUFFERED stdout is write-through, and one write
-# per part would be one system call per part
+# check writes its parts in batches of at least this many characters (bytes,
+# with --json): under python -u or PYTHONUNBUFFERED stdout is write-through,
+# and one write per part would be one system call per part
 BATCH = 1 << 20
+# the most buffers one os.writev call takes on Linux and macOS
+IOV_MAX = 1024
+_ASCII = "".join(map(chr, range(128)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,10 +136,15 @@ def _cmd_circuits(args, order) -> int:
         if not 1 <= n <= len(w):
             raise ValueError(f"graph order {n} out of range 1..{len(w)}")
         ranges = {q: (n, n) for q, (lo, hi) in ranges.items() if lo <= n <= hi}
-    for r, row in groupby(circuit_blocks(ranges, order, ", ".join), key=lambda c: c[1]):
+    for r, row in groupby(circuit_blocks(ranges, order, _listed_windows), key=lambda c: c[1]):
         for q, _, vertices, edges, top in sorted(row, key=lambda c: order.sort_key(c[4])):
             print(f"C({q},{r}) vertices={{{vertices}}} edges={{{edges}}} max_edge={top}")
     return OK
+
+
+def _listed_windows(x, starts):
+    # circuit_blocks' blocks for `sqcirc circuits`: the windows, joined by ", "
+    return lambda n: ", ".join([x[i:i + n] for i in starts])
 
 
 def _cmd_inject(args, order) -> int:
@@ -149,18 +159,66 @@ def _cmd_inject(args, order) -> int:
 def _cmd_check(args, order) -> int:
     analysis = WordAnalysis(args.word)
     report, bad = analysis.report, analysis.violations
-    batch, size = [], 0  # in batches, so neither the text nor its bytes are held whole
-    for part in analysis.json_parts(order) if args.json else analysis.text_parts(order):
-        batch.append(part)
-        size += len(part)
-        if size >= BATCH:
-            sys.stdout.write("".join(batch))
-            batch, size = [], 0
-    sys.stdout.write("".join(batch))
-    if not args.json:
+    if args.json:
+        _write_batches(analysis.json_parts(order), _bytes_writer())
+    else:
+        _write_batches(analysis.text_parts(order), lambda batch: sys.stdout.write("".join(batch)))
         for msg in bad:
             print(f"violation: {msg}")
     return OK if report.holds and report.chain_holds and not bad else VIOLATION
+
+
+def _write_batches(parts, write) -> None:
+    # write(batch) per batch of str or bytes parts of at least BATCH characters,
+    # so the document is never held whole; a batch that gathers IOV_MAX parts
+    # short of BATCH joins those since its last join into one, as os.writev
+    # takes no more
+    batch, size, joined = [], 0, 0
+    for part in parts:
+        batch.append(part)
+        size += len(part)
+        if size >= BATCH:
+            write(batch)
+            batch, size, joined = [], 0, 0
+        elif len(batch) == IOV_MAX:
+            batch[joined:] = [part[:0].join(batch[joined:])]
+            joined += 1
+    write(batch)
+
+
+def _bytes_writer():
+    """The function that writes a batch of ASCII bytes parts to stdout.
+
+    It hands the parts to os.writev on stdout's descriptor, after flushing
+    the text layer, so no batch is joined or encoded: the kernel copies each
+    part from where it lies. Where those bytes could differ from what the
+    text layer would write, it decodes the batch and writes the text
+    instead: a stream with no descriptor (an io.StringIO), an encoding that
+    does not write ASCII as itself (UTF-16), or a platform without
+    os.writev.
+    """
+    out = sys.stdout
+    try:
+        fd = out.fileno()
+        direct = hasattr(os, "writev") and _ASCII.encode(out.encoding) == _ASCII.encode()
+    except (AttributeError, LookupError, OSError, ValueError):
+        direct = False
+    if not direct:
+        return lambda batch: out.write(b"".join(batch).decode())
+    out.flush()
+    return lambda batch: _writev_all(fd, batch)
+
+
+def _writev_all(fd: int, parts: list) -> None:
+    # os.writev of every part, IOV_MAX parts a call, resumed after a short write
+    while parts:
+        n, i = os.writev(fd, parts[:IOV_MAX]), 0
+        while i < len(parts) and n >= len(parts[i]):
+            n -= len(parts[i])
+            i += 1
+        parts = parts[i:]
+        if n:
+            parts[0] = memoryview(parts[0])[n:]
 
 
 def _cmd_search(args, order) -> int:
@@ -226,6 +284,8 @@ def main(argv=None) -> int:
         order = _order_of(args)
         if hasattr(args, "word"):
             order.check_covers(args.word)
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError(errno.EBADF, "standard output is closed")
         return _COMMANDS[args.command](args, order)
     except SystemExit as exc:
         code = exc.code

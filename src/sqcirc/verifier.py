@@ -35,6 +35,9 @@ from .words import (
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# json_parts encodes the template text between two blocks in runs of at most
+# about this many characters
+RUN = 1 << 16
 
 
 class CorpusError(Exception):
@@ -275,38 +278,51 @@ class WordAnalysis:
     def json_text(self, order: SymbolOrder) -> str:
         """The JSON document as json.dumps(document, indent=2) renders it, plus
         a newline: the join of json_parts."""
-        return "".join(self.json_parts(order))
+        return b"".join(self.json_parts(order)).decode("ascii")
 
     def json_parts(self, order: SymbolOrder):
-        """The parts of json_text, which `sqcirc check --json` writes in turn,
-        so the document is never held whole.
+        """The parts of json_text as ASCII bytes, which `sqcirc check --json`
+        writes in turn, so the document is never held whole.
 
         Every member is rendered from templates that lay it out as
         json.dumps(..., indent=2) nests it, one part or more per list entry.
         The circuits come from circuit_blocks, one joined block of windows per
-        (root, length), each a part of its own. Every string of the document
-        is a word over w's letters, so when w needs no JSON escape none does,
-        and strings and blocks are quoted as they are.
+        (root, length), which two circuits share. Every string of the
+        document is a word over w's letters, so when w needs no JSON escape
+        none does: strings are quoted as they are, and a class whose blocks
+        reach a page (about len(power) * |q| letters) joins each from slices
+        of one ASCII memoryview of its power, a bytes part of its own, so no
+        window is copied before the join; below a page one view per window
+        costs more than the copies it saves. Otherwise every string goes
+        through encode_basestring_ascii. The text between two bytes parts is
+        encoded as one part, in runs of at most about RUN characters. Either
+        way the document is ASCII.
         """
+        return _encoded(self._json_layout(order))
+
+    def _json_layout(self, order: SymbolOrder):
+        # json_parts' templates as str parts, and its blocks as bytes parts
+        # where w needs no escape
         w, report = self.word, self.report
-        if encode_basestring_ascii(w) == f'"{w}"':
-            quote = '"{}"'.format
+        plain = encode_basestring_ascii(w) == f'"{w}"'
+        quote, sep = '"{}"'.format if plain else encode_basestring_ascii, '",\n        "'
 
-            def block(items):
-                return '"' + '",\n        "'.join(items) + '"'
-        else:
-            quote = encode_basestring_ascii
+        def listed(words):  # a list of words, its outer quotes left to the template
+            return sep.join(words if plain else [quote(s)[1:-1] for s in words])
 
-            def block(items):
-                return ",\n        ".join(map(quote, items))
+        def blocks(x, starts):  # text where w needs escapes or each block is under a page
+            if not plain or len(x) * len(starts) < 4096:
+                return lambda n: listed([x[i:i + n] for i in starts])
+            view, joiner = memoryview(x.encode()), sep.encode()
+            return lambda n: joiner.join([view[i:i + n] for i in starts])
 
         def objects(key, rows):  # key's list of objects, one "\n    {...}" row of parts each
-            sep = f',\n  "{key}": ['
+            head = f',\n  "{key}": ['
             for row in rows:
-                yield sep
+                yield head
                 yield from row
-                sep = ","
-            yield "\n  ]" if sep == "," else sep + "]"
+                head = ","
+            yield "\n  ]" if head == "," else head + "]"
 
         yield (f'{{\n  "word": {quote(w)},\n  "length": {len(w)},\n  "alphabet": [\n    '
                + ",\n    ".join(map(quote, sorted(set(w), key=order.sort_key))) + "\n  ]")
@@ -315,13 +331,13 @@ class WordAnalysis:
             for s in sorted(self.squares)))
         yield from objects("classes", (
             [f'\n    {{\n      "root": {quote(v)},\n      "index": {index},\n      "members": '
-             '[\n        ', block([sq.word for sq, _, _ in members]), '\n      ]\n    }']
+             '[\n        "', listed([sq.word for sq, _, _ in members]), '"\n      ]\n    }']
             for v, index, _, members in self.rows))
         yield from objects("circuits", (
             [f'\n    {{\n      "root": {quote(q)},\n      "order": {r},\n      "vertices": '
-             '[\n        ', vertices, '\n      ],\n      "edges": [\n        ', edges,
-             f'\n      ],\n      "maximal_edge": {quote(top)}\n    }}']
-            for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, block)))
+             '[\n        "', vertices, '"\n      ],\n      "edges": [\n        "', edges,
+             f'"\n      ],\n      "maximal_edge": {quote(top)}\n    }}']
+            for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, blocks)))
         yield from objects("injection", (
             [f'\n    {{\n      "square": {quote(sq.word)},\n      "circuit": {{\n        '
              f'"root": {quote(circ.root)},\n        "order": {circ.order}\n      }}\n    }}']
@@ -350,8 +366,8 @@ class WordAnalysis:
         yield "\nclasses:\n"
         yield from class_table(self.rows, "  ")
         yield f"small circuits ({report.small_circuit_total}):\n"
-        for r, row in groupby(circuit_blocks(self.ranges, order, lambda _: None),
-                              key=lambda c: c[1]):
+        listing = circuit_blocks(self.ranges, order, lambda x, starts: lambda n: None)
+        for r, row in groupby(listing, key=lambda c: c[1]):
             yield f"  r={r}: " + ", ".join(f"C({q},{r}) max_edge={top}"
                                            for q, _, _, _, top in row) + "\n"
         yield "injection:\n"
@@ -365,6 +381,26 @@ class WordAnalysis:
                f"{report.small_circuit_total} <= {len(w) - report.alphabet_size}"
                f" = |w| - |Alph(w)|  ... "
                + ("holds" if report.chain_holds else "VIOLATED") + "\n")
+
+
+def _encoded(parts):
+    # bytes parts as they are, and each run of str parts between them as one
+    # part, encoded as ASCII and cut after RUN characters
+    pending, size = [], 0
+    for part in parts:
+        if part.__class__ is bytes:
+            if pending:
+                yield "".join(pending).encode()
+                pending, size = [], 0
+            yield part
+        else:
+            pending.append(part)
+            size += len(part)
+            if size >= RUN:
+                yield "".join(pending).encode()
+                pending, size = [], 0
+    if pending:
+        yield "".join(pending).encode()
 
 
 def class_table(rows, indent: str):

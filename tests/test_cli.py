@@ -1,6 +1,9 @@
 """Command line interface tests, run in process through main()."""
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -155,6 +158,18 @@ class TestCheck:
         code, _, err = run(capsys, "check", "")
         assert code == 1
         assert "error" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_stdout_is_an_io_error(self, flags):
+        # started with stdout closed, Python sets sys.stdout to None
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(["sh", "-c", '"$0" -m sqcirc.cli "$@" >&-', sys.executable,
+                               "check", "aababa", *flags], env=env,
+                              stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "sqcirc: i/o error: [Errno 9] standard output is closed\n"
 
 
 class TestSearch:

@@ -7,6 +7,7 @@ inspect a mismatch, run the command by hand and diff against that version.
 """
 import hashlib
 import io
+import os
 from contextlib import redirect_stdout
 
 import pytest
@@ -177,3 +178,23 @@ def test_word_command(name, cmd):
 def test_search(name):
     argv, expected = SEARCHES[name]
     assert run(argv) == expected
+
+
+WRITEV = os.writev
+JSON_CASES = [(name, cmd) for name, cmd in CASES if cmd.startswith("check-json")]
+
+
+@pytest.mark.parametrize("name,cmd", JSON_CASES, ids=[f"{n}-{c}" for n, c in JSON_CASES])
+def test_json_command_on_a_descriptor(capfdbinary, monkeypatch, name, cmd):
+    # run()'s StringIO has no descriptor, so check --json writes it through
+    # the text layer; on a descriptor it writes its bytes with os.writev
+    calls = []
+
+    def writev(fd, parts):
+        calls.append(fd)
+        return WRITEV(fd, parts)
+    monkeypatch.setattr(os, "writev", writev)
+    code = main(commands(WORDS[name])[cmd])
+    out = capfdbinary.readouterr().out
+    assert (code, hashlib.sha256(out).hexdigest()) == GOLDEN[(name, cmd)]
+    assert calls

@@ -10,7 +10,9 @@ which `sqcirc check --json` writes in batches of its parts.
 import io
 import json
 import os
+import pathlib
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -24,6 +26,9 @@ from sqcirc.verifier import WordAnalysis, analyze, canonical_words, json_documen
 from sqcirc.words import NATURAL, SymbolOrder
 
 from oracles import fibonacci, thue_morse
+
+WRITEV = os.writev
+ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
 
 
 def oracle_document(a: WordAnalysis, order: SymbolOrder) -> dict:
@@ -139,9 +144,62 @@ class TestCheckJson:
             assert all(n >= batch for n in writes[:-1]), writes
             assert len(writes) > 1 or batch > 1
 
+    @pytest.mark.parametrize("w", [fibonacci(384), "a" * 512], ids=["fib384", "unary512"])
+    def test_one_writev_per_batch_on_a_file(self, monkeypatch, tmp_path, w):
+        # on a descriptor each batch is one os.writev call of at least BATCH
+        # bytes but the last, and of at most IOV_MAX parts: unary512's 2,048
+        # parts fill no batch, so its first 1,024 are joined
+        calls = []
+
+        def writev(fd, parts):
+            calls.append((len(parts), sum(map(len, parts))))
+            return WRITEV(fd, parts)
+        monkeypatch.setattr(os, "writev", writev)
+        path = tmp_path / "out.json"
+        with open(path, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["check", w, "--json"]) == 0
+        assert path.read_bytes() == WordAnalysis(w).json_text(NATURAL).encode()
+        assert len(calls) == -(-path.stat().st_size // cli.BATCH), calls
+        assert all(size >= cli.BATCH for _, size in calls[:-1]), calls
+        assert all(n <= cli.IOV_MAX for n, _ in calls), calls
+
+    @pytest.mark.parametrize("k", [1, 5, 4096])
+    @pytest.mark.parametrize("batch", [100, cli.BATCH])
+    def test_short_writes_resume(self, monkeypatch, tmp_path, batch, k):
+        # an os.writev that writes at most k bytes a call loses nothing
+        def writev(fd, parts):
+            assert len(parts) <= cli.IOV_MAX
+            head = bytearray()
+            for part in parts:
+                head += part[:k - len(head)]
+            return os.write(fd, head)
+        monkeypatch.setattr(os, "writev", writev)
+        monkeypatch.setattr(cli, "BATCH", batch)
+        for w in [fibonacci(64), "aababa", ESCAPED[1]]:
+            path = tmp_path / "out.json"
+            with open(path, "w") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                assert main(["check", w, "--json"]) == 0
+            assert path.read_bytes() == WordAnalysis(w).json_text(NATURAL).encode(), w
+
+    def test_writev_all_takes_iov_max_parts_a_call(self, monkeypatch, tmp_path):
+        counts = []
+
+        def writev(fd, parts):
+            counts.append(len(parts))
+            return WRITEV(fd, parts[:7])  # a short write: the first seven parts
+        monkeypatch.setattr(os, "writev", writev)
+        parts = [bytes([48 + i % 10]) * (i % 3) for i in range(3000)]
+        with open(tmp_path / "out", "wb") as out:
+            cli._writev_all(out.fileno(), parts)
+        assert (tmp_path / "out").read_bytes() == b"".join(parts)
+        assert max(counts) == cli.IOV_MAX
+
     def test_peak_memory_below_the_payload(self, monkeypatch):
-        # the parts share each window block between two circuits, and a batch
-        # holds about 1 MiB, so no whole copy of the text or its bytes is made
+        # the parts share each window block between two circuits, a batch
+        # holds about 1 MiB, and os.writev writes its parts where they are, so
+        # no batch is joined or encoded and no copy of the text is made
         w = fibonacci(512)
         with open(os.devnull, "w") as devnull:
             monkeypatch.setattr(sys, "stdout", devnull)
@@ -153,4 +211,50 @@ class TestCheckJson:
                 tracemalloc.stop()
         payload = len(WordAnalysis(w).json_text(NATURAL))
         assert payload > 17_000_000
-        assert peak < payload, (peak, payload)
+        assert peak < payload / 8, (peak, payload)
+
+
+class TestCheckJsonProcess:
+    """`python -u -m sqcirc.cli check WORD --json` as the benchmark runs it:
+    a fresh unbuffered process whose stdout is a pipe or a file."""
+
+    CMD = [sys.executable, "-u", "-m", "sqcirc.cli", "check"]
+
+    def test_pipe_carries_json_text(self):
+        w = fibonacci(384)
+        proc = subprocess.run([*self.CMD, w, "--json"], env=ENV, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == WordAnalysis(w).json_text(NATURAL).encode()
+
+    def test_reader_that_closes_early_is_an_io_error(self):
+        w = fibonacci(384)
+        proc = subprocess.Popen([*self.CMD, w, "--json"], env=ENV,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert head == WordAnalysis(w).json_text(NATURAL)[:20].encode()
+        assert err == "sqcirc: i/o error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_an_io_error(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([*self.CMD, fibonacci(64), "--json"], env=ENV,
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "sqcirc: i/o error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("w", ["aababa", "ñaña", fibonacci(128)],
+                             ids=["aababa", "nonascii", "fib128"])
+    def test_utf16_stdout_takes_the_text_layer(self, w):
+        # UTF-16 does not write ASCII as itself, so check --json writes its
+        # text, as plain check does: UTF-16 in native byte order, without the
+        # BOM, as Python writes it to a standard stream
+        env = {**ENV, "PYTHONIOENCODING": "utf-16"}
+        a = WordAnalysis(w)
+        for flags, text in ([], a.text(NATURAL)), (["--json"], a.json_text(NATURAL)):
+            proc = subprocess.run([*self.CMD, w, *flags], env=env, capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout == text.encode("utf-16")[2:], flags
