@@ -29,8 +29,6 @@ OK, USAGE, IO, VIOLATION = 0, 1, 2, 3
 # with --json): under python -u or PYTHONUNBUFFERED stdout is write-through,
 # and one write per part would be one system call per part
 BATCH = 1 << 20
-# the most buffers one os.writev call takes on Linux and macOS
-IOV_MAX = 1024
 _ASCII = "".join(map(chr, range(128)))
 
 
@@ -136,15 +134,10 @@ def _cmd_circuits(args, order) -> int:
         if not 1 <= n <= len(w):
             raise ValueError(f"graph order {n} out of range 1..{len(w)}")
         ranges = {q: (n, n) for q, (lo, hi) in ranges.items() if lo <= n <= hi}
-    for r, row in groupby(circuit_blocks(ranges, order, _listed_windows), key=lambda c: c[1]):
+    for r, row in groupby(circuit_blocks(ranges, order, ", ".join), key=lambda c: c[1]):
         for q, _, vertices, edges, top in sorted(row, key=lambda c: order.sort_key(c[4])):
             print(f"C({q},{r}) vertices={{{vertices}}} edges={{{edges}}} max_edge={top}")
     return OK
-
-
-def _listed_windows(x, starts):
-    # circuit_blocks' blocks for `sqcirc circuits`: the windows, joined by ", "
-    return lambda n: ", ".join([x[i:i + n] for i in starts])
 
 
 def _cmd_inject(args, order) -> int:
@@ -170,19 +163,14 @@ def _cmd_check(args, order) -> int:
 
 def _write_batches(parts, write) -> None:
     # write(batch) per batch of str or bytes parts of at least BATCH characters,
-    # so the document is never held whole; a batch that gathers IOV_MAX parts
-    # short of BATCH joins those since its last join into one, as os.writev
-    # takes no more
-    batch, size, joined = [], 0, 0
+    # so the document is never held whole
+    batch, size = [], 0
     for part in parts:
         batch.append(part)
         size += len(part)
         if size >= BATCH:
             write(batch)
-            batch, size, joined = [], 0, 0
-        elif len(batch) == IOV_MAX:
-            batch[joined:] = [part[:0].join(batch[joined:])]
-            joined += 1
+            batch, size = [], 0
     write(batch)
 
 
@@ -210,9 +198,11 @@ def _bytes_writer():
 
 
 def _writev_all(fd: int, parts: list) -> None:
-    # os.writev of every part, IOV_MAX parts a call, resumed after a short write
+    # os.writev of every part, resumed after a short write; a batch of
+    # json_parts holds at most about 2 * BATCH / RUN parts, within the
+    # 1,024 buffers one call takes on Linux and macOS
     while parts:
-        n, i = os.writev(fd, parts[:IOV_MAX]), 0
+        n, i = os.writev(fd, parts), 0
         while i < len(parts) and n >= len(parts[i]):
             n -= len(parts[i])
             i += 1

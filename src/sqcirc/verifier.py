@@ -35,9 +35,10 @@ from .words import (
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
-# json_parts encodes the template text between two blocks in runs of at most
-# about this many characters
-RUN = 1 << 16
+# json_parts encodes a block of circuit windows of at least this many
+# characters as a part of its own, and joins shorter parts into runs of this
+# many before it encodes them
+RUN = 1 << 12
 
 
 class CorpusError(Exception):
@@ -289,20 +290,18 @@ class WordAnalysis:
         The circuits come from circuit_blocks, one joined block of windows per
         (root, length), which two circuits share. Every string of the
         document is a word over w's letters, so when w needs no JSON escape
-        none does: strings are quoted as they are, and a class whose blocks
-        reach a page (about len(power) * |q| letters) joins each from slices
-        of one ASCII memoryview of its power, a bytes part of its own, so no
-        window is copied before the join; below a page one view per window
-        costs more than the copies it saves. Otherwise every string goes
-        through encode_basestring_ascii. The text between two bytes parts is
-        encoded as one part, in runs of at most about RUN characters. Either
-        way the document is ASCII.
+        none does, and strings are quoted as they are; otherwise every string
+        goes through encode_basestring_ascii. Either way the document is
+        ASCII. A block of at least RUN characters is encoded once, as a part
+        of its own, so it is neither copied into a run nor encoded twice; the
+        shorter parts between two such blocks are joined in runs of RUN
+        characters, so there are at most about twice as many parts as the
+        document has RUN characters.
         """
         return _encoded(self._json_layout(order))
 
     def _json_layout(self, order: SymbolOrder):
-        # json_parts' templates as str parts, and its blocks as bytes parts
-        # where w needs no escape
+        # json_parts as str parts, but for its long blocks, already encoded
         w, report = self.word, self.report
         plain = encode_basestring_ascii(w) == f'"{w}"'
         quote, sep = '"{}"'.format if plain else encode_basestring_ascii, '",\n        "'
@@ -310,11 +309,9 @@ class WordAnalysis:
         def listed(words):  # a list of words, its outer quotes left to the template
             return sep.join(words if plain else [quote(s)[1:-1] for s in words])
 
-        def blocks(x, starts):  # text where w needs escapes or each block is under a page
-            if not plain or len(x) * len(starts) < 4096:
-                return lambda n: listed([x[i:i + n] for i in starts])
-            view, joiner = memoryview(x.encode()), sep.encode()
-            return lambda n: joiner.join([view[i:i + n] for i in starts])
+        def block(windows):  # encoded here if long, as two circuits list it
+            text = listed(windows)
+            return text.encode() if len(text) >= RUN else text
 
         def objects(key, rows):  # key's list of objects, one "\n    {...}" row of parts each
             head = f',\n  "{key}": ['
@@ -337,7 +334,7 @@ class WordAnalysis:
             [f'\n    {{\n      "root": {quote(q)},\n      "order": {r},\n      "vertices": '
              '[\n        "', vertices, '"\n      ],\n      "edges": [\n        "', edges,
              f'"\n      ],\n      "maximal_edge": {quote(top)}\n    }}']
-            for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, blocks)))
+            for q, r, vertices, edges, top in circuit_blocks(self.ranges, order, block)))
         yield from objects("injection", (
             [f'\n    {{\n      "square": {quote(sq.word)},\n      "circuit": {{\n        '
              f'"root": {quote(circ.root)},\n        "order": {circ.order}\n      }}\n    }}']
@@ -366,8 +363,8 @@ class WordAnalysis:
         yield "\nclasses:\n"
         yield from class_table(self.rows, "  ")
         yield f"small circuits ({report.small_circuit_total}):\n"
-        listing = circuit_blocks(self.ranges, order, lambda x, starts: lambda n: None)
-        for r, row in groupby(listing, key=lambda c: c[1]):
+        for r, row in groupby(circuit_blocks(self.ranges, order, lambda _: None),
+                              key=lambda c: c[1]):
             yield f"  r={r}: " + ", ".join(f"C({q},{r}) max_edge={top}"
                                            for q, _, _, _, top in row) + "\n"
         yield "injection:\n"
@@ -384,23 +381,23 @@ class WordAnalysis:
 
 
 def _encoded(parts):
-    # bytes parts as they are, and each run of str parts between them as one
-    # part, encoded as ASCII and cut after RUN characters
-    pending, size = [], 0
+    # bytes parts as they are, and the str parts between them joined in runs
+    # of at least RUN characters, each encoded
+    run, size = [], 0
     for part in parts:
         if part.__class__ is bytes:
-            if pending:
-                yield "".join(pending).encode()
-                pending, size = [], 0
+            if run:
+                yield "".join(run).encode()
+                run, size = [], 0
             yield part
-        else:
-            pending.append(part)
-            size += len(part)
-            if size >= RUN:
-                yield "".join(pending).encode()
-                pending, size = [], 0
-    if pending:
-        yield "".join(pending).encode()
+            continue
+        run.append(part)
+        size += len(part)
+        if size >= RUN:
+            yield "".join(run).encode()
+            run, size = [], 0
+    if run:
+        yield "".join(run).encode()
 
 
 def class_table(rows, indent: str):

@@ -180,10 +180,11 @@ def test_search(name):
     assert run(argv) == expected
 
 
-WRITEV = os.writev
+WRITEV = getattr(os, "writev", None)
 JSON_CASES = [(name, cmd) for name, cmd in CASES if cmd.startswith("check-json")]
 
 
+@pytest.mark.skipif(WRITEV is None, reason="needs os.writev")
 @pytest.mark.parametrize("name,cmd", JSON_CASES, ids=[f"{n}-{c}" for n, c in JSON_CASES])
 def test_json_command_on_a_descriptor(capfdbinary, monkeypatch, name, cmd):
     # run()'s StringIO has no descriptor, so check --json writes it through
